@@ -18,12 +18,18 @@ their own directory.  ``UQCAT_THREADS`` caps worker threads; outputs are
 bit-identical regardless of thread count because all randomness is derived
 from (seed, subject, case, pass) names, never from scheduling.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Subject ids come from the ``sub-<i>_img.vvol`` file names.  ``uqcat run``
+writes each job's maps as soon as the job finishes and ``run_manifest.json``
+last, so a maps directory without that manifest is an incomplete run.
+
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Pipeline
+config errors exit 2 before any stage runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -56,8 +62,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_manifest(path: Path, command: str, **fields) -> None:
+    manifest = {"tool": "uqcat", "version": __version__, "command": command, **fields}
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -76,14 +83,11 @@ def _thread_count() -> int:
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"dims must be 'X,Y,Z', got {text!r}")
     try:
-        dims = tuple(int(p) for p in parts)
+        x, y, z = (int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"dims must be integers, got {text!r}")
-    return dims  # type: ignore[return-value]
+        raise UsageError(f"dims must be three integers 'X,Y,Z', got {text!r}")
+    return x, y, z
 
 
 def _parse_radius(text: str) -> tuple[float, float]:
@@ -99,61 +103,59 @@ def _digests(directory: Path, names: list[str]) -> dict[str, str]:
     return {name: _sha256(directory / name) for name in sorted(names)}
 
 
-def _vvol_names(v_path: Path) -> list[str]:
-    return [v_path.name, v_path.name + ".json"]
+def _write_vvol(vol: Volume, path: Path) -> list[str]:
+    """Write ``vol``; return the names of the two files written (volume and sidecar)."""
+    write_volume(vol, path)
+    return [path.name, path.name + ".json"]
 
 
 # --------------------------------------------------------------------------
 # phantom
 # --------------------------------------------------------------------------
 
-def cmd_phantom(args) -> int:
-    out = Path(args.out)
+def cmd_phantom(out: Path, subjects: int, seed: int, dims: tuple[int, int, int], lesions: int,
+                radius: tuple[float, float], noise: float, satellite: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = PhantomSpec(
-        dims=_parse_dims(args.dims),
-        n_lesions=args.lesions,
-        radius_range=_parse_radius(args.radius),
-        noise_std=args.noise,
-        satellite=args.satellite,
-        seed=derive_seed(args.seed, "phantom"),
+        dims=dims,
+        n_lesions=lesions,
+        radius_range=radius,
+        noise_std=noise,
+        satellite=satellite,
+        seed=derive_seed(seed, "phantom"),
     )
-    cohort = generate_cohort(spec, args.subjects)
+    cohort = generate_cohort(spec, subjects)
     written: list[str] = []
     for i, (img, lab) in enumerate(cohort):
         for tag, vol in (("img", img), ("lab", lab)):
-            p = out / f"sub-{i}_{tag}.vvol"
-            write_volume(vol, p)
-            written.extend(_vvol_names(p))
-    manifest = {
-        "tool": "uqcat",
-        "version": __version__,
-        "command": "phantom",
-        "config": {
-            "subjects": args.subjects,
-            "dims": list(spec.dims),
-            "lesions": spec.n_lesions,
-            "radius": list(spec.radius_range),
-            "noise": spec.noise_std,
-            "satellite": spec.satellite,
-            "seed": args.seed,
-        },
-        "outputs": _digests(out, written),
+            written.extend(_write_vvol(vol, out / f"sub-{i}_{tag}.vvol"))
+    config = {
+        "subjects": subjects,
+        "dims": list(spec.dims),
+        "lesions": spec.n_lesions,
+        "radius": list(spec.radius_range),
+        "noise": spec.noise_std,
+        "satellite": spec.satellite,
+        "seed": seed,
     }
-    _write_json(out / "phantom_manifest.json", manifest)
-    print(f"wrote {args.subjects} subjects to {out}")
+    _write_manifest(out / "phantom_manifest.json", "phantom", config=config, outputs=_digests(out, written))
+    print(f"wrote {subjects} subjects to {out}")
     return 0
 
 
-def _load_cohort(directory: Path, need_labels: bool = True) -> list[tuple[Volume, Volume | None]]:
-    imgs = sorted(directory.glob("sub-*_img.vvol"), key=lambda p: int(re.findall(r"sub-(\d+)_", p.name)[0]))
-    if not imgs:
+_IMG_RE = re.compile(r"^sub-(0|[1-9]\d*)_img\.vvol$")
+
+
+def _load_cohort(directory: Path, need_labels: bool = True) -> dict[int, tuple[Volume, Volume | None]]:
+    """Subjects keyed by the id in their ``sub-<i>_img.vvol`` file name, in id order."""
+    ids = sorted(int(m.group(1)) for p in directory.glob("sub-*_img.vvol") if (m := _IMG_RE.match(p.name)))
+    if not ids:
         raise FileNotFoundError(f"no sub-*_img.vvol files in {directory}")
-    cohort = []
-    for img_path in imgs:
-        lab_path = directory / img_path.name.replace("_img", "_lab")
+    cohort = {}
+    for sid in ids:
+        lab_path = directory / f"sub-{sid}_lab.vvol"
         label = read_volume(lab_path) if (need_labels or lab_path.exists()) else None
-        cohort.append((read_volume(img_path), label))
+        cohort[sid] = (read_volume(directory / f"sub-{sid}_img.vvol"), label)
     return cohort
 
 
@@ -161,38 +163,30 @@ def _load_cohort(directory: Path, need_labels: bool = True) -> list[tuple[Volume
 # train
 # --------------------------------------------------------------------------
 
-def cmd_train(args) -> int:
-    data_dir = Path(args.data)
-    cohort = _load_cohort(data_dir)
-    holdout = args.holdout
+def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> int:
+    cohort = list(_load_cohort(data).values())
     if holdout >= len(cohort):
         raise UsageError(f"--holdout {holdout} leaves no training subjects (cohort has {len(cohort)})")
     train_set = cohort[: len(cohort) - holdout] if holdout else cohort
     val_set = cohort[len(cohort) - holdout :] if holdout else None
 
-    model = TinySegmenter(PredictorConfig(), seed=args.seed)
-    cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
+    model = TinySegmenter(PredictorConfig(), seed=seed)
+    cfg = TrainConfig(epochs=epochs, seed=seed)
     history = train(model, train_set, cfg, val_cohort=val_set)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
 
-    scores = []
-    for img, lab in val_set or []:
-        pred = model.forward(img)
-        scores.append(dice_score(pred.data >= 0.5, lab))
-    manifest = {
-        "tool": "uqcat",
-        "version": __version__,
-        "command": "train",
-        "config": {"epochs": args.epochs, "seed": args.seed, "holdout": holdout},
-        "final_train_loss": history.train_loss[-1],
-        "final_val_loss": history.val_loss[-1] if history.val_loss else None,
-        "holdout_dice": scores or None,
-        "model": {"file": out.name, "sha256": _sha256(out)},
-    }
-    _write_json(out.parent / (out.stem + "_manifest.json"), manifest)
-    msg = f"trained {args.epochs} epochs, final loss {history.train_loss[-1]:.4f}"
+    scores = [dice_score(model.forward(img).data >= 0.5, lab) for img, lab in val_set or []]
+    _write_manifest(
+        out.parent / (out.stem + "_manifest.json"),
+        "train",
+        config={"epochs": epochs, "seed": seed, "holdout": holdout},
+        final_train_loss=history.train_loss[-1],
+        final_val_loss=history.val_loss[-1] if history.val_loss else None,
+        holdout_dice=scores or None,
+        model={"file": out.name, "sha256": _sha256(out)},
+    )
+    msg = f"trained {epochs} epochs, final loss {history.train_loss[-1]:.4f}"
     if scores:
         msg += f", holdout dice {np.mean(scores):.3f}"
     print(msg)
@@ -203,67 +197,45 @@ def cmd_train(args) -> int:
 # run
 # --------------------------------------------------------------------------
 
-def cmd_run(args) -> int:
-    model = TinySegmenter.load(args.model)
-    subjects_dir = Path(args.subjects)
-    out = Path(args.out)
+def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cases: list[int], binarize: bool) -> int:
+    segmenter = TinySegmenter.load(model)
     out.mkdir(parents=True, exist_ok=True)
-    case_ids = parse_case_selection(args.cases)
-    cohort = _load_cohort(subjects_dir, need_labels=False)
+    cohort = _load_cohort(subjects, need_labels=False)
     threads = _thread_count()
 
-    jobs = [(sid, cid) for sid in range(len(cohort)) for cid in case_ids]
+    jobs = [(sid, cid) for sid in cohort for cid in cases]
 
     def one_job(job: tuple[int, int]):
         sid, cid = job
-        image = cohort[sid][0]
         stack = run_case(
-            model,
-            image,
+            segmenter,
+            cohort[sid][0],
             get_case(cid),
-            n_samples=args.samples,
-            seed=derive_seed(args.seed, "run", sid),
+            n_samples=samples,
+            seed=derive_seed(seed, "run", sid),
             subject_id=sid,
-            binarize=args.binarize,
+            binarize=binarize,
         )
         return job, uncertainty_maps(stack), stack.pass_records
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict()
-            for job, maps, records in pool.map(one_job, jobs):
-                results[job] = (maps, records)
-    else:
-        results = {job: (maps, records) for job, maps, records in map(one_job, jobs)}
-
     written: list[str] = []
     passes: dict[str, dict] = {}
-    for sid, cid in jobs:
-        maps, records = results[(sid, cid)]
-        for tag, vol in (("mean", maps.mean), ("var", maps.variance), ("ent", maps.entropy)):
-            p = out / f"sub-{sid}_case-{cid}_{tag}.vvol"
-            write_volume(vol, p)
-            written.extend(_vvol_names(p))
-        passes.setdefault(f"subject-{sid}", {})[f"case-{cid}"] = list(records)
+    # both map flavours yield in job order, so each job's maps are written as it finishes
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for (sid, cid), maps, records in (pool.map if pool else map)(one_job, jobs):
+            for tag, vol in (("mean", maps.mean), ("var", maps.variance), ("ent", maps.entropy)):
+                written.extend(_write_vvol(vol, out / f"sub-{sid}_case-{cid}_{tag}.vvol"))
+            passes.setdefault(f"subject-{sid}", {})[f"case-{cid}"] = list(records)
 
-    manifest = {
-        "tool": "uqcat",
-        "version": __version__,
-        "command": "run",
-        "config": {
-            "samples": args.samples,
-            "seed": args.seed,
-            "cases": case_ids,
-            "binarize": args.binarize,
-        },
-        "model": {"file": Path(args.model).name, "sha256": _sha256(Path(args.model))},
-        "inputs": {
-            f"sub-{sid}_img.vvol": _sha256(subjects_dir / f"sub-{sid}_img.vvol") for sid in range(len(cohort))
-        },
-        "passes": passes,
-        "outputs": _digests(out, written),
-    }
-    _write_json(out / "run_manifest.json", manifest)
+    _write_manifest(
+        out / "run_manifest.json",
+        "run",
+        config={"samples": samples, "seed": seed, "cases": cases, "binarize": binarize},
+        model={"file": model.name, "sha256": _sha256(model)},
+        inputs={f"sub-{sid}_img.vvol": _sha256(subjects / f"sub-{sid}_img.vvol") for sid in cohort},
+        passes=passes,
+        outputs=_digests(out, written),
+    )
     print(f"wrote {len(jobs)} case maps for {len(cohort)} subjects to {out}")
     return 0
 
@@ -282,18 +254,16 @@ def _write_matrix_csv(path: Path, matrix: analysis.CorrelationMatrix) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_analyze(args) -> int:
-    maps_dir = Path(args.maps)
-    out = Path(args.out)
+def cmd_analyze(maps: Path, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     found: dict[int, dict[int, Path]] = {}
-    for p in maps_dir.glob("sub-*_case-*_ent.vvol"):
+    for p in maps.glob("sub-*_case-*_ent.vvol"):
         m = _ENT_RE.match(p.name)
         if m:
             found.setdefault(int(m.group(1)), {})[int(m.group(2))] = p
     if not found:
-        raise FileNotFoundError(f"no sub-*_case-*_ent.vvol maps in {maps_dir}")
+        raise FileNotFoundError(f"no sub-*_case-*_ent.vvol maps in {maps}")
     subjects = sorted(found)
     case_ids = sorted(found[subjects[0]])
     for sid in subjects:
@@ -317,8 +287,7 @@ def cmd_analyze(args) -> int:
             (f"iqr_ent_sub-{sid}.vvol", iqr),
             (f"mask_sub-{sid}.vvol", Volume(mask.bits.astype(np.float32), median.spacing)),
         ):
-            write_volume(vol, out / name)
-            written.extend(_vvol_names(out / name))
+            written.extend(_write_vvol(vol, out / name))
         _write_matrix_csv(out / f"corr_sub-{sid}.csv", matrix)
         written.append(f"corr_sub-{sid}.csv")
 
@@ -332,15 +301,13 @@ def cmd_analyze(args) -> int:
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
     written.append("summary.csv")
 
-    manifest = {
-        "tool": "uqcat",
-        "version": __version__,
-        "command": "analyze",
-        "config": {"subjects": subjects, "cases": case_ids, "quantile_method": "linear-interpolation"},
-        "inputs": {found[sid][cid].name: _sha256(found[sid][cid]) for sid in subjects for cid in case_ids},
-        "outputs": _digests(out, written),
-    }
-    _write_json(out / "analyze_manifest.json", manifest)
+    _write_manifest(
+        out / "analyze_manifest.json",
+        "analyze",
+        config={"subjects": subjects, "cases": case_ids, "quantile_method": "linear-interpolation"},
+        inputs={found[sid][cid].name: _sha256(found[sid][cid]) for sid in subjects for cid in case_ids},
+        outputs=_digests(out, written),
+    )
     print(f"analyzed {len(subjects)} subjects x {len(case_ids)} cases into {out}")
     return 0
 
@@ -383,7 +350,7 @@ def _case_table() -> list[str]:
     return rows
 
 
-def cmd_cases(args) -> int:
+def cmd_cases() -> int:
     print("\n".join(_case_table()))
     return 0
 
@@ -408,8 +375,7 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _load_config(path: str) -> dict:
-    p = Path(path)
+def _load_config(p: Path) -> dict:
     if not p.exists():
         raise UsageError(f"no such config file: {p}")
     try:
@@ -421,7 +387,8 @@ def _load_config(path: str) -> dict:
     return loaded
 
 
-def _merge_config(file_cfg: dict, args) -> dict:
+def _merge_config(file_cfg: dict, model: Path | None, seed: int | None, samples: int | None,
+                  subjects: int | None, epochs: int | None) -> dict:
     """Precedence: flags > config file > defaults.  ``"train": null`` disables training."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for section, value in file_cfg.items():
@@ -431,102 +398,80 @@ def _merge_config(file_cfg: dict, args) -> dict:
             cfg[section] = value
     if cfg.get("train") is None:
         cfg.pop("train", None)
-    if "train" not in file_cfg and args.model:
+    if "train" not in file_cfg and model:
         cfg.pop("train", None)  # training supplied externally
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.samples is not None:
-        cfg.setdefault("run", {})["samples"] = args.samples
-    if args.subjects is not None:
-        cfg.setdefault("phantom", {})["subjects"] = args.subjects
-    if args.epochs is not None and "train" in cfg:
-        cfg["train"]["epochs"] = args.epochs
+    if seed is not None:
+        cfg["seed"] = seed
+    if samples is not None:
+        cfg.setdefault("run", {})["samples"] = samples
+    if subjects is not None:
+        cfg.setdefault("phantom", {})["subjects"] = subjects
+    if epochs is not None and "train" in cfg:
+        cfg["train"]["epochs"] = epochs
     return cfg
 
 
-class _Args(argparse.Namespace):
-    pass
+def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
+    """Typed phantom/train/run arguments, seeds included; ``cfg`` itself is left as written."""
+    seed, phantom, run = int(cfg["seed"]), cfg["phantom"], cfg["run"]
+    x, y, z = (int(d) for d in phantom["dims"])
+    lo, hi = (float(r) for r in phantom["radius"])
+    phantom_args = dict(subjects=int(phantom["subjects"]), seed=seed, dims=(x, y, z), lesions=int(phantom["lesions"]),
+                        radius=(lo, hi), noise=float(phantom["noise"]), satellite=bool(phantom["satellite"]))
+    train_args = None
+    if "train" in cfg:
+        train_args = dict(epochs=int(cfg["train"]["epochs"]), seed=derive_seed(seed, "train-stage"),
+                          holdout=int(cfg["train"]["holdout"]))
+        if train_args["holdout"] >= phantom_args["subjects"]:
+            raise ValueError(f"holdout {train_args['holdout']} leaves no training subjects")
+    run_args = dict(samples=int(run["samples"]), seed=derive_seed(seed, "run-stage"),
+                    cases=parse_case_selection(str(run["cases"])), binarize=bool(run["binarize"]))
+    return phantom_args, train_args, run_args
 
 
-def cmd_pipeline(args) -> int:
-    file_cfg = _load_config(args.config) if args.config else {}
-    cfg = _merge_config(file_cfg, args)
-    if "train" not in cfg and not args.model:
+def cmd_pipeline(out: Path, config: Path | None = None, model: Path | None = None, seed: int | None = None,
+                 samples: int | None = None, subjects: int | None = None, epochs: int | None = None) -> int:
+    file_cfg = _load_config(config) if config else {}
+    try:
+        cfg = _merge_config(file_cfg, model, seed, samples, subjects, epochs)
+        phantom_args, train_args, run_args = _stage_args(cfg)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config {config.name if config else '(defaults)'}: {exc}") from None
+    if train_args is None and not model:
         raise UsageError("config has no 'train' section and no --model was given")
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = int(cfg["seed"])
 
     stage = "phantom"
     try:
-        phantom_args = _Args(
-            out=str(out / "phantoms"),
-            subjects=int(cfg["phantom"]["subjects"]),
-            dims=",".join(str(d) for d in cfg["phantom"]["dims"]),
-            lesions=int(cfg["phantom"].get("lesions", 1)),
-            radius=",".join(str(r) for r in cfg["phantom"].get("radius", [2.5, 4.5])),
-            noise=float(cfg["phantom"].get("noise", 0.05)),
-            satellite=bool(cfg["phantom"].get("satellite", False)),
-            seed=seed,
-        )
-        print(f"[pipeline] stage phantom -> {phantom_args.out}", file=sys.stderr)
-        cmd_phantom(phantom_args)
+        print(f"[pipeline] stage phantom -> {out / 'phantoms'}", file=sys.stderr)
+        cmd_phantom(out / "phantoms", **phantom_args)
 
-        if "train" in cfg:
+        if train_args is not None:
             stage = "train"
-            model_path = out / "model.uqp"
-            train_args = _Args(
-                data=str(out / "phantoms"),
-                out=str(model_path),
-                epochs=int(cfg["train"]["epochs"]),
-                holdout=int(cfg["train"].get("holdout", 0)),
-                seed=derive_seed(seed, "train-stage"),
-            )
-            print(f"[pipeline] stage train -> {model_path}", file=sys.stderr)
-            cmd_train(train_args)
+            model = out / "model.uqp"
+            print(f"[pipeline] stage train -> {model}", file=sys.stderr)
+            cmd_train(out / "phantoms", model, **train_args)
         else:
-            model_path = Path(args.model)
-            print(f"[pipeline] stage train skipped, using {model_path}", file=sys.stderr)
+            print(f"[pipeline] stage train skipped, using {model}", file=sys.stderr)
 
         stage = "run"
-        run_args = _Args(
-            model=str(model_path),
-            subjects=str(out / "phantoms"),
-            out=str(out / "maps"),
-            samples=int(cfg["run"]["samples"]),
-            cases=str(cfg["run"].get("cases", "1-14")),
-            binarize=bool(cfg["run"].get("binarize", False)),
-            seed=derive_seed(seed, "run-stage"),
-        )
-        print(f"[pipeline] stage run -> {run_args.out}", file=sys.stderr)
-        cmd_run(run_args)
+        print(f"[pipeline] stage run -> {out / 'maps'}", file=sys.stderr)
+        cmd_run(model, out / "phantoms", out / "maps", **run_args)
 
         stage = "analyze"
-        analyze_args = _Args(maps=str(out / "maps"), out=str(out / "analysis"))
-        print(f"[pipeline] stage analyze -> {analyze_args.out}", file=sys.stderr)
-        cmd_analyze(analyze_args)
+        print(f"[pipeline] stage analyze -> {out / 'analysis'}", file=sys.stderr)
+        cmd_analyze(out / "maps", out / "analysis")
     except UsageError:
         raise
     except Exception as exc:
         print(f"[pipeline] stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1
 
-    outputs: dict[str, str] = {}
-    for sub in ("phantoms", "maps", "analysis"):
-        for p in sorted((out / sub).iterdir()):
-            if p.is_file():
-                outputs[f"{sub}/{p.name}"] = _sha256(p)
-    if "train" in cfg:
-        outputs["model.uqp"] = _sha256(out / "model.uqp")
-        outputs["model_manifest.json"] = _sha256(out / "model_manifest.json")
-    manifest = {
-        "tool": "uqcat",
-        "version": __version__,
-        "command": "pipeline",
-        "effective_config": cfg,
-        "outputs": outputs,
-    }
-    _write_json(out / "pipeline_manifest.json", manifest)
+    names = [f"{sub}/{p.name}" for sub in ("phantoms", "maps", "analysis")
+             for p in (out / sub).iterdir() if p.is_file()]
+    if train_args is not None:
+        names += ["model.uqp", "model_manifest.json"]
+    _write_manifest(out / "pipeline_manifest.json", "pipeline", effective_config=cfg, outputs=_digests(out, names))
     print(f"pipeline complete: {out}")
     return 0
 
@@ -548,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", default="2.5,4.5", help="lesion radius range LO,HI in voxels")
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--satellite", action="store_true")
-    p.set_defaults(func=cmd_phantom)
+    p.set_defaults(func=lambda a: cmd_phantom(
+        Path(a.out), a.subjects, a.seed, _parse_dims(a.dims), a.lesions, _parse_radius(a.radius), a.noise, a.satellite))
 
     p = sub.add_parser("train", help="train the built-in segmenter")
     p.add_argument("--data", required=True)
@@ -556,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--holdout", type=int, default=0, help="trailing subjects held out for validation")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=lambda a: cmd_train(Path(a.data), Path(a.out), a.epochs, a.seed, a.holdout))
 
     p = sub.add_parser("run", help="sample uncertainty cases and write voxelwise maps")
     p.add_argument("--model", required=True)
@@ -566,16 +512,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", default="1-14")
     p.add_argument("--binarize", action="store_true")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=lambda a: cmd_run(
+        Path(a.model), Path(a.subjects), Path(a.out), a.samples, a.seed, parse_case_selection(a.cases), a.binarize))
 
     p = sub.add_parser("analyze", help="cross-case correlation and stability analytics")
     p.add_argument("--maps", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=lambda a: cmd_analyze(Path(a.maps), Path(a.out)))
 
     p = sub.add_parser("cases", help="print the uncertainty case registry")
     p.add_argument("--list", action="store_true", default=True)
-    p.set_defaults(func=cmd_cases)
+    p.set_defaults(func=lambda a: cmd_cases())
 
     p = sub.add_parser("pipeline", help="run phantom/train/run/analyze from a JSON config")
     p.add_argument("--config", required=False)
@@ -585,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--subjects", type=int)
     p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=lambda a: cmd_pipeline(
+        Path(a.out), a.config and Path(a.config), a.model and Path(a.model), a.seed, a.samples, a.subjects, a.epochs))
     return parser
 
 

@@ -266,3 +266,90 @@ def test_pipeline_flag_overrides(tmp_path):
     assert manifest["effective_config"]["run"]["samples"] == 3
     run_manifest = json.loads((out / "maps" / "run_manifest.json").read_text())
     assert run_manifest["config"]["samples"] == 3
+
+
+def test_run_takes_subject_ids_from_file_names(small_run, tmp_path):
+    # a cohort with a gap: sub-0 and sub-2 only (sub-2 is a copy of sub-1)
+    subjects = tmp_path / "gap"
+    subjects.mkdir()
+    for src, dst in ((0, 0), (1, 2)):
+        for suffix in ("img.vvol", "img.vvol.json"):
+            (subjects / f"sub-{dst}_{suffix}").write_bytes((small_run / "ph" / f"sub-{src}_{suffix}").read_bytes())
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(subjects),
+                 "--out", str(out), "--samples", "4", "--seed", "5", "--cases", "1"]) == 0
+    names = sorted(p.name for p in out.glob("*_ent.vvol"))
+    assert names == ["sub-0_case-1_ent.vvol", "sub-2_case-1_ent.vvol"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == ["sub-0_img.vvol", "sub-2_img.vvol"]
+    assert sorted(manifest["passes"]) == ["subject-0", "subject-2"]
+    # sub-0 keeps its contiguous-cohort bytes; sub-2's seeds come from its id, not its position
+    for tag in ("mean", "var", "ent"):
+        name = f"sub-0_case-1_{tag}.vvol"
+        assert (out / name).read_bytes() == (small_run / "maps" / name).read_bytes()
+    contiguous = json.loads((small_run / "maps" / "run_manifest.json").read_text())
+    assert manifest["passes"]["subject-2"]["case-1"] != contiguous["passes"]["subject-1"]["case-1"]
+
+
+def test_run_writes_maps_per_job_and_manifest_last(small_run, tmp_path, monkeypatch):
+    import uqcat.cli as cli
+
+    real_run_case = cli.run_case
+
+    def failing_run_case(model, image, case, **kwargs):
+        if kwargs["subject_id"] == 1:
+            raise RuntimeError("injected failure")
+        return real_run_case(model, image, case, **kwargs)
+
+    monkeypatch.setattr(cli, "run_case", failing_run_case)
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
+                 "--out", str(out), "--samples", "4", "--seed", "5", "--cases", "1,2"]) == 1
+    for cid in (1, 2):
+        name = f"sub-0_case-{cid}_ent.vvol"
+        assert (out / name).read_bytes() == (small_run / "maps" / name).read_bytes()
+    assert not list(out.glob("sub-1_*"))
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"phantom": 5},
+    {"run": {"samples": "x"}},
+    {"run": {"cases": "1-20"}},
+    {"train": {"epochs": 6, "holdout": 2}},
+], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort"])
+def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides):
+    cfg_path = tmp_path / "bad_cfg.json"
+    cfg_path.write_text(json.dumps(pipeline_config(**overrides)))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "bad_cfg.json" in capsys.readouterr().err
+    assert not (out / "phantoms").exists()
+
+
+def test_pipeline_matches_standalone_commands(tmp_path):
+    from uqcat.seeding import derive_seed
+
+    # integer-valued radius and noise pin the int/float coercions of the config values
+    cfg = pipeline_config(phantom={"subjects": 2, "dims": [16, 16, 8], "radius": [2, 3], "noise": 0})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(pipe)]) == 0
+
+    solo = tmp_path / "solo"
+    assert main(["phantom", "--out", str(solo / "phantoms"), "--subjects", "2", "--seed", "21",
+                 "--dims", "16,16,8", "--radius", "2,3", "--noise", "0"]) == 0
+    assert main(["train", "--data", str(solo / "phantoms"), "--out", str(solo / "model.uqp"),
+                 "--epochs", "6", "--seed", str(derive_seed(21, "train-stage"))]) == 0
+    assert main(["run", "--model", str(solo / "model.uqp"), "--subjects", str(solo / "phantoms"),
+                 "--out", str(solo / "maps"), "--samples", "4", "--seed", str(derive_seed(21, "run-stage")),
+                 "--cases", "1,7"]) == 0
+    assert main(["analyze", "--maps", str(solo / "maps"), "--out", str(solo / "analysis")]) == 0
+
+    pipe_tree = tree_digest(pipe)
+    del pipe_tree["pipeline_manifest.json"]
+    assert pipe_tree == tree_digest(solo)
+    phantom_cfg = json.loads((pipe / "phantoms" / "phantom_manifest.json").read_text())["config"]
+    assert phantom_cfg["radius"] == [2.0, 3.0] and isinstance(phantom_cfg["radius"][0], float)
+    assert isinstance(phantom_cfg["noise"], float)
