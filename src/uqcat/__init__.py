@@ -22,7 +22,6 @@ from .analysis import (
     entropy_support_mask,
     mean_correlation_matrix,
     mean_nonzero_entropy,
-    predicted_error_target,
     spatial_correlation,
     voxelwise_median_iqr,
 )
@@ -39,7 +38,6 @@ from .augment import (
     apply_transform,
     bias_field,
     bias_monomials,
-    invert_affine,
     sample_affine,
     sample_bias,
     sample_ghosting,
@@ -85,70 +83,3 @@ from .volume import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineParams",
-    "AnalysisError",
-    "BiasFieldParams",
-    "CASES",
-    "CaseError",
-    "CaseSpec",
-    "CaseSummary",
-    "CorrelationMatrix",
-    "GhostingParams",
-    "Mask",
-    "PhantomSpec",
-    "PlacementError",
-    "Predictor",
-    "PredictorConfig",
-    "PredictorError",
-    "SampleStack",
-    "TinySegmenter",
-    "TrainConfig",
-    "TrainHistory",
-    "TrainingDivergedError",
-    "TransformError",
-    "TransformSample",
-    "UncertaintyMaps",
-    "UndefinedCorrelationError",
-    "Volume",
-    "VolumeError",
-    "VolumeFormatError",
-    "apply_affine",
-    "apply_affine_inverse",
-    "apply_bias",
-    "apply_ghosting",
-    "apply_transform",
-    "bias_field",
-    "bias_monomials",
-    "binary_cross_entropy",
-    "binary_entropy_bits",
-    "composite_loss",
-    "correlation_matrix",
-    "derive_rng",
-    "derive_seed",
-    "dice_score",
-    "entropy_support_mask",
-    "generate_cohort",
-    "generate_phantom",
-    "get_case",
-    "gradient_check",
-    "invert_affine",
-    "mean_correlation_matrix",
-    "mean_nonzero_entropy",
-    "parse_case_selection",
-    "predicted_error_target",
-    "read_volume",
-    "run_case",
-    "sample_affine",
-    "sample_bias",
-    "sample_ghosting",
-    "sample_transform",
-    "soft_dice_loss",
-    "spatial_correlation",
-    "threshold_mask",
-    "train",
-    "uncertainty_maps",
-    "voxelwise_median_iqr",
-    "write_volume",
-]

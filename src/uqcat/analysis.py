@@ -161,15 +161,3 @@ def mean_nonzero_entropy(ent: Volume) -> tuple[float, int]:
         return float("nan"), 0
     return float(vals.astype(np.float64).mean()), int(vals.size)
 
-
-def predicted_error_target(label: Volume, confidence: Volume) -> Volume:
-    """Per-voxel |label - confidence|: the regression target for an error-predicting network."""
-    if label.dims != confidence.dims:
-        raise AnalysisError(f"dims mismatch: {label.dims} vs {confidence.dims}")
-    lab = label.data
-    if not np.isin(lab, (0.0, 1.0)).all():
-        raise AnalysisError("label volume must be binary {0, 1}")
-    conf = confidence.data
-    if conf.min() < 0.0 or conf.max() > 1.0:
-        raise AnalysisError("confidence volume must lie in [0, 1]")
-    return Volume(np.abs(lab.astype(np.float64) - conf.astype(np.float64)), label.spacing)

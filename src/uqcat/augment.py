@@ -220,22 +220,6 @@ def apply_affine_inverse(v: Volume, p: AffineParams) -> Volume:
     return _resample_at(v, a, b)
 
 
-def invert_affine(p: AffineParams) -> AffineParams:
-    """Parameterized inverse: reciprocal scales, negated angles, back-mapped translation.
-
-    The scale-then-rotate family is not closed under inversion when the
-    scaling is anisotropic, so this is exact only for axis-aligned or
-    isotropic cases; for small perturbations the residual is far below
-    interpolation error.  The returned translation maps the forward image
-    of the grid center exactly back to the center.
-    """
-    scale = tuple(1.0 / s for s in p.scale)
-    rotation = tuple(-r for r in p.rotation_deg)
-    a_inv_approx = np.diag(scale) @ _rotation_matrix(rotation)
-    t = -(a_inv_approx @ np.array(p.translation_mm, dtype=np.float64))
-    return AffineParams(scale, rotation, tuple(t))
-
-
 # --------------------------------------------------------------------------
 # ghosting
 # --------------------------------------------------------------------------

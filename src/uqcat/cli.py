@@ -44,7 +44,7 @@ from . import __version__, analysis, augment
 from .phantom import PhantomSpec, generate_cohort
 from .predictor import PredictorConfig, TinySegmenter, TrainConfig, dice_score, train
 from .seeding import derive_seed
-from .uq import CASES, get_case, parse_case_selection, run_case, uncertainty_maps
+from .uq import CASES, CaseError, get_case, parse_case_selection, run_case, uncertainty_maps
 from .volume import Volume, read_volume, write_volume
 
 
@@ -97,6 +97,13 @@ def _parse_radius(text: str) -> tuple[float, float]:
     except ValueError:
         raise UsageError(f"radius must be 'LO,HI', got {text!r}")
     return lo, hi
+
+
+def _parse_cases(text: str) -> list[int]:
+    try:
+        return parse_case_selection(text)
+    except CaseError as exc:
+        raise UsageError(f"bad --cases: {exc}")
 
 
 def _digests(directory: Path, names: list[str]) -> dict[str, str]:
@@ -198,10 +205,10 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
 # --------------------------------------------------------------------------
 
 def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cases: list[int], binarize: bool) -> int:
-    segmenter = TinySegmenter.load(model)
-    out.mkdir(parents=True, exist_ok=True)
-    cohort = _load_cohort(subjects, need_labels=False)
     threads = _thread_count()
+    segmenter = TinySegmenter.load(model)
+    cohort = _load_cohort(subjects, need_labels=False)
+    out.mkdir(parents=True, exist_ok=True)
 
     jobs = [(sid, cid) for sid in cohort for cid in cases]
 
@@ -439,6 +446,7 @@ def cmd_pipeline(out: Path, config: Path | None = None, model: Path | None = Non
         raise UsageError(f"bad config {config.name if config else '(defaults)'}: {exc}") from None
     if train_args is None and not model:
         raise UsageError("config has no 'train' section and no --model was given")
+    _thread_count()  # reject a bad UQCAT_THREADS before any stage writes
     out.mkdir(parents=True, exist_ok=True)
 
     stage = "phantom"
@@ -513,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", default="1-14")
     p.add_argument("--binarize", action="store_true")
     p.set_defaults(func=lambda a: cmd_run(
-        Path(a.model), Path(a.subjects), Path(a.out), a.samples, a.seed, parse_case_selection(a.cases), a.binarize))
+        Path(a.model), Path(a.subjects), Path(a.out), a.samples, a.seed, _parse_cases(a.cases), a.binarize))
 
     p = sub.add_parser("analyze", help="cross-case correlation and stability analytics")
     p.add_argument("--maps", required=True)

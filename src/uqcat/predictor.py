@@ -22,7 +22,6 @@ default) with a reduce-on-plateau learning-rate schedule.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -394,7 +393,7 @@ class TinySegmenter:
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         with open(path, "wb") as f:
             f.write(_CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", len(header_bytes)))
+            f.write(len(header_bytes).to_bytes(4, "little"))
             f.write(header_bytes)
             for n in names:
                 f.write(np.ascontiguousarray(self.params[n], dtype="<f4").tobytes())
@@ -402,25 +401,27 @@ class TinySegmenter:
     @classmethod
     def load(cls, path: str | Path) -> "TinySegmenter":
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"no such checkpoint: {path}")
         blob = path.read_bytes()
         if blob[:8] != _CHECKPOINT_MAGIC:
             raise PredictorError(f"not a segmenter checkpoint: {path.name}")
-        (hlen,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12 : 12 + hlen].decode("utf-8"))
-        if header.get("format_version") != 1:
-            raise PredictorError(f"unsupported checkpoint version {header.get('format_version')}")
-        model = cls(PredictorConfig(**header["config"]), seed=header.get("seed", 0))
-        offset = 12 + hlen
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            n_items = int(np.prod(shape))
-            arr = np.frombuffer(blob, dtype="<f4", count=n_items, offset=offset).reshape(shape)
-            offset += 4 * n_items
-            if entry["name"] not in model.params or model.params[entry["name"]].shape != shape:
-                raise PredictorError(f"checkpoint shape manifest mismatch at {entry['name']}")
-            model.params[entry["name"]] = arr.copy()
+        offset = 12 + int.from_bytes(blob[8:12], "little")
+        try:
+            header = json.loads(blob[12:offset].decode("utf-8"))
+            if header.get("format_version") != 1:
+                raise PredictorError(f"unsupported checkpoint version {header.get('format_version')}")
+            model = cls(PredictorConfig(**header["config"]), seed=header.get("seed", 0))
+            entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PredictorError(f"bad checkpoint header in {path.name}: {exc}") from exc
+        if entries != [(name, model.params[name].shape) for name in sorted(model.params)]:
+            raise PredictorError(f"checkpoint shape manifest mismatch in {path.name}")
+        size = offset + 4 * sum(p.size for p in model.params.values())
+        if len(blob) != size:
+            raise PredictorError(f"checkpoint {path.name} has {len(blob)} bytes, its header implies {size}")
+        for name, shape in entries:
+            arr = np.frombuffer(blob, dtype="<f4", count=model.params[name].size, offset=offset).reshape(shape)
+            offset += 4 * arr.size
+            model.params[name] = arr.copy()
         return model
 
 

@@ -17,7 +17,7 @@ making results independent of execution order and parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,26 +136,6 @@ class UncertaintyMaps:
     entropy: Volume
 
 
-def _affine_record(p: augment.AffineParams) -> dict:
-    return {
-        "scale": list(p.scale),
-        "rotation_deg": list(p.rotation_deg),
-        "translation_mm": list(p.translation_mm),
-    }
-
-
-def _transform_record(ts: augment.TransformSample) -> dict:
-    rec: dict = {"kind": "tta"}
-    rec["affine"] = _affine_record(ts.affine) if ts.affine else None
-    rec["ghosting"] = (
-        {"strength": ts.ghosting.strength, "num_ghosts": ts.ghosting.num_ghosts, "axis": ts.ghosting.axis}
-        if ts.ghosting
-        else None
-    )
-    rec["bias"] = {"order": ts.bias.order, "coeffs": list(ts.bias.coeffs)} if ts.bias else None
-    return rec
-
-
 def run_case(
     pred: Predictor,
     image: Volume,
@@ -189,7 +169,7 @@ def run_case(
             prob = pred.forward(perturbed, dropout_rate=0.0, seed=pass_seed)
             if ts.affine is not None:
                 prob = augment.apply_affine_inverse(prob, ts.affine)
-            records.append(_transform_record(ts))
+            records.append({"kind": "tta", **asdict(ts)})
         else:
             raise CaseError(f"unknown case kind {case.kind!r}")
         arr = np.clip(prob.data, 0.0, 1.0)

@@ -8,8 +8,9 @@ formats are supported:
   order, with a JSON sidecar ``<name>.vvol.json`` holding
   ``{"dims": [nx, ny, nz], "spacing": [sx, sy, sz]}``.  Read and write.
 * Uncompressed single-file NIfTI-1 (magic ``n+1``, header size 348) with
-  datatype uint8, int16 or float32, promoted to float32 on load.  Spacing is
-  taken from ``pixdim`` only; orientation matrices are ignored.  Read only.
+  datatype uint8, int16 or float32, promoted to float32 on load and scaled
+  by ``scl_slope``/``scl_inter`` when the slope is finite and not 0.  Spacing
+  is taken from ``pixdim`` only; orientation matrices are ignored.  Read only.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ class Volume:
     @property
     def n_voxels(self) -> int:
         return int(self.data.size)
-
-    def with_data(self, data: np.ndarray) -> "Volume":
-        """New volume on the same grid (dims must match)."""
-        arr = np.asarray(data)
-        if arr.shape != self.data.shape:
-            raise VolumeError(f"dims mismatch: {arr.shape} vs {self.data.shape}")
-        return Volume(arr, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ def _read_nifti(path: Path) -> Volume:
     dim = struct.unpack_from(endian + "8h", blob, 40)
     (datatype, bitpix) = struct.unpack_from(endian + "2h", blob, 70)
     pixdim = struct.unpack_from(endian + "8f", blob, 76)
-    (vox_offset,) = struct.unpack_from(endian + "f", blob, 108)
+    (vox_offset, slope, inter) = struct.unpack_from(endian + "3f", blob, 108)
 
     ndim = dim[0]
     if ndim < 3 or any(d != 1 for d in dim[4 : 1 + max(3, ndim)]):
@@ -216,6 +210,8 @@ def _read_nifti(path: Path) -> Volume:
             f"{len(payload) // np_dtype.itemsize} of {n_expected} values"
         )
     data = np.frombuffer(payload, dtype=np_dtype).reshape(dims, order="F").astype(np.float32)
+    if np.isfinite(slope) and slope != 0:
+        data = (data.astype(np.float64) * slope + inter).astype(np.float32)
     if not np.isfinite(data).all():
         raise VolumeFormatError(f"{path.name} contains non-finite values")
     return Volume(data, spacing)

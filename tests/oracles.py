@@ -2,12 +2,16 @@
 
 Everything here is deliberately brute force and shares no code with the
 library: plain Python loops, explicit formulas, O(n^2) transforms.  Tests
-compare the vectorized implementations against these.
+compare the vectorized implementations against these.  The one exception
+is :func:`invert_affine`, a baseline rather than an oracle, which takes and
+returns the library's parameter container.
 """
 
 import math
 
 import numpy as np
+
+from uqcat import AffineParams
 
 
 def threshold_count(values, tau) -> int:
@@ -86,6 +90,22 @@ def affine_resample(arr, spacing, scale, rotation_deg, translation_mm) -> np.nda
                 xi, yj, zk = x_mm / spacing
                 out[i, j, k] = trilinear(arr, xi, yj, zk)
     return out
+
+
+def invert_affine(p: AffineParams) -> AffineParams:
+    """Parameterized inverse: reciprocal scales, negated angles, back-mapped translation.
+
+    The scale-then-rotate family is not closed under inversion when the
+    scaling is anisotropic, so this is exact only for axis-aligned or
+    isotropic cases; for small perturbations the residual is far below
+    interpolation error.  It is the approximate baseline that exact inverse
+    resampling is compared against.
+    """
+    scale = tuple(1.0 / s for s in p.scale)
+    rotation = tuple(-r for r in p.rotation_deg)
+    a_inv_approx = np.diag(scale) @ rotation_zyx(rotation)
+    t = -(a_inv_approx @ np.array(p.translation_mm, dtype=np.float64))
+    return AffineParams(scale, rotation, tuple(t))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from uqcat import (
     entropy_support_mask,
     mean_correlation_matrix,
     mean_nonzero_entropy,
-    predicted_error_target,
     spatial_correlation,
     voxelwise_median_iqr,
 )
@@ -267,30 +266,3 @@ def test_mean_nonzero_entropy_oracle_and_zero_padding_invariance():
     mean_p, count_p = mean_nonzero_entropy(make_volume(padded))
     assert count_p == count
     assert mean_p == pytest.approx(mean, abs=1e-12)
-
-
-# --------------------------------------------------------------------------
-# predicted error target
-# --------------------------------------------------------------------------
-
-def test_predicted_error_target_cases():
-    rng = np.random.default_rng(13)
-    lab = make_volume((rng.random((3, 3, 3)) > 0.5).astype(np.float32))
-    assert np.allclose(predicted_error_target(lab, lab).data, 0.0)
-
-    half = make_volume(np.full((3, 3, 3), 0.5))
-    assert np.allclose(predicted_error_target(lab, half).data, 0.5)
-
-    one = make_volume(np.ones((1, 1, 1)))
-    conf = make_volume(np.full((1, 1, 1), 0.752))
-    assert predicted_error_target(one, conf).data[0, 0, 0] == pytest.approx(0.248, abs=1e-6)
-
-
-def test_predicted_error_target_validation():
-    lab = make_volume(np.zeros((2, 2, 2)))
-    with pytest.raises(AnalysisError, match="dims"):
-        predicted_error_target(lab, make_volume(np.zeros((3, 2, 2))))
-    with pytest.raises(AnalysisError, match="binary"):
-        predicted_error_target(make_volume(np.full((2, 2, 2), 0.5)), lab)
-    with pytest.raises(AnalysisError):
-        predicted_error_target(lab, make_volume(np.full((2, 2, 2), 1.5)))

@@ -3,6 +3,7 @@ import pytest
 from scipy.ndimage import uniform_filter
 
 import oracles
+from oracles import invert_affine
 from uqcat import (
     AffineParams,
     BiasFieldParams,
@@ -18,7 +19,6 @@ from uqcat import (
     bias_field,
     bias_monomials,
     get_case,
-    invert_affine,
     sample_affine,
     sample_bias,
     sample_ghosting,

@@ -128,6 +128,33 @@ def test_invalid_threads_env(small_run, tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("cases", ["1-20", "0", "x"])
+def test_run_bad_cases_exit_2_before_output(small_run, tmp_path, cases):
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
+                 "--out", str(out), "--samples", "4", "--seed", "5", "--cases", cases]) == 2
+    assert not out.exists()
+
+
+def test_bad_threads_env_exits_2_before_output(small_run, tmp_path, monkeypatch):
+    monkeypatch.setenv("UQCAT_THREADS", "x")
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
+                 "--out", str(out), "--samples", "4", "--seed", "5", "--cases", "1"]) == 2
+    assert not out.exists()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(pipeline_config()))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "pipe")]) == 2
+    assert not (tmp_path / "pipe").exists()
+
+
+def test_run_missing_subjects_creates_no_output(small_run, tmp_path):
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(tmp_path / "absent"),
+                 "--out", str(out), "--samples", "4", "--seed", "5", "--cases", "1"]) == 1
+    assert not out.exists()
+
+
 def test_run_accepts_images_without_labels(small_run, tmp_path):
     subjects = tmp_path / "imgs_only"
     subjects.mkdir()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,32 @@ def test_checkpoint_rejects_garbage(tmp_path):
         TinySegmenter.load(path)
     with pytest.raises(FileNotFoundError):
         TinySegmenter.load(tmp_path / "absent.uqp")
+
+
+def _drop_last_param(blob: bytes) -> bytes:
+    """Rewrite the header without its last parameter and cut that parameter's bytes."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + hlen])
+    last = header["params"].pop()
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + hlen : -4 * int(np.prod(last["shape"]))]
+
+
+CHECKPOINT_CORRUPTIONS = {
+    "truncated-payload": lambda blob: blob[:-100],
+    "trailing-bytes": lambda blob: blob + bytes(4),
+    "ten-bytes": lambda blob: blob[:10],
+    "oversized-header-length": lambda blob: blob[:8] + (2**31).to_bytes(4, "little") + blob[12:],
+    "header-not-object": lambda blob: blob[:8] + (2).to_bytes(4, "little") + b"[]",
+    "missing-parameter": _drop_last_param,
+}
+
+
+@pytest.mark.parametrize("corrupt", CHECKPOINT_CORRUPTIONS.values(), ids=CHECKPOINT_CORRUPTIONS)
+def test_checkpoint_rejects_corruption_naming_the_file(tmp_path, corrupt):
+    good = tmp_path / "good.uqp"
+    TinySegmenter(seed=1).save(good)
+    bad = tmp_path / "corrupt.uqp"
+    bad.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(PredictorError, match="corrupt.uqp"):
+        TinySegmenter.load(bad)

@@ -179,6 +179,39 @@ def test_nifti_truncated_payload(tmp_path):
         read_volume(path)
 
 
+def _scaled_int16_nifti(slope, inter):
+    arr = np.arange(-6, 6, dtype=np.int16).reshape(3, 2, 2)
+    blob = bytearray(_nifti_bytes(arr, datatype=4))
+    struct.pack_into("<2f", blob, 112, slope, inter)  # scl_slope, scl_inter
+    return arr, bytes(blob)
+
+
+def test_nifti_applies_scl_slope_and_inter(tmp_path):
+    arr, blob = _scaled_int16_nifti(2.0, -1.0)
+    path = tmp_path / "scaled.nii"
+    path.write_bytes(blob)
+    assert np.array_equal(read_volume(path).data, arr.astype(np.float32) * 2 - 1)
+
+
+@pytest.mark.parametrize("slope,inter", [(0.0, 5.0), (float("nan"), float("nan")), (float("inf"), 0.0)])
+def test_nifti_zero_or_nonfinite_slope_means_unscaled(tmp_path, slope, inter):
+    # NaN is how nibabel marks an unscaled image; a slope of 0 or a non-finite
+    # slope means "no scaling", and the intercept is then ignored.
+    arr, blob = _scaled_int16_nifti(slope, inter)
+    path = tmp_path / "unscaled.nii"
+    path.write_bytes(blob)
+    assert np.array_equal(read_volume(path).data, arr.astype(np.float32))
+
+
+@pytest.mark.parametrize("inter", [float("nan"), float("inf")])
+def test_nifti_nonfinite_intercept_rejected(tmp_path, inter):
+    _, blob = _scaled_int16_nifti(1.0, inter)
+    path = tmp_path / "badscale.nii"
+    path.write_bytes(blob)
+    with pytest.raises(VolumeFormatError, match="non-finite"):
+        read_volume(path)
+
+
 # --------------------------------------------------------------------------
 # threshold mask
 # --------------------------------------------------------------------------
