@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__, analysis, augment
 from .phantom import PhantomSpec, generate_cohort
-from .predictor import PredictorConfig, TinySegmenter, TrainConfig, dice_score, train
+from .predictor import PredictorConfig, PredictorError, TinySegmenter, TrainConfig, dice_score, train
 from .seeding import derive_seed
 from .uq import CASES, CaseError, get_case, parse_case_selection, run_case, uncertainty_maps
 from .volume import Volume, read_volume, write_volume
@@ -122,7 +122,6 @@ def _write_vvol(vol: Volume, path: Path) -> list[str]:
 
 def cmd_phantom(out: Path, subjects: int, seed: int, dims: tuple[int, int, int], lesions: int,
                 radius: tuple[float, float], noise: float, satellite: bool) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     spec = PhantomSpec(
         dims=dims,
         n_lesions=lesions,
@@ -132,6 +131,7 @@ def cmd_phantom(out: Path, subjects: int, seed: int, dims: tuple[int, int, int],
         seed=derive_seed(seed, "phantom"),
     )
     cohort = generate_cohort(spec, subjects)
+    out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     for i, (img, lab) in enumerate(cohort):
         for tag, vol in (("img", img), ("lab", lab)):
@@ -171,6 +171,10 @@ def _load_cohort(directory: Path, need_labels: bool = True) -> dict[int, tuple[V
 # --------------------------------------------------------------------------
 
 def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> int:
+    try:
+        cfg = TrainConfig(epochs=epochs, seed=seed)
+    except PredictorError as exc:
+        raise UsageError(str(exc))
     cohort = list(_load_cohort(data).values())
     if holdout >= len(cohort):
         raise UsageError(f"--holdout {holdout} leaves no training subjects (cohort has {len(cohort)})")
@@ -178,7 +182,6 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
     val_set = cohort[len(cohort) - holdout :] if holdout else None
 
     model = TinySegmenter(PredictorConfig(), seed=seed)
-    cfg = TrainConfig(epochs=epochs, seed=seed)
     history = train(model, train_set, cfg, val_cohort=val_set)
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
@@ -205,6 +208,8 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
 # --------------------------------------------------------------------------
 
 def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cases: list[int], binarize: bool) -> int:
+    if samples < 2:
+        raise UsageError(f"--samples must be >= 2, got {samples}")
     threads = _thread_count()
     segmenter = TinySegmenter.load(model)
     cohort = _load_cohort(subjects, need_labels=False)
@@ -262,8 +267,6 @@ def _write_matrix_csv(path: Path, matrix: analysis.CorrelationMatrix) -> None:
 
 
 def cmd_analyze(maps: Path, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-
     found: dict[int, dict[int, Path]] = {}
     for p in maps.glob("sub-*_case-*_ent.vvol"):
         m = _ENT_RE.match(p.name)
@@ -276,6 +279,7 @@ def cmd_analyze(maps: Path, out: Path) -> int:
     for sid in subjects:
         if sorted(found[sid]) != case_ids:
             raise UsageError(f"subject {sid} has cases {sorted(found[sid])}, expected {case_ids}")
+    out.mkdir(parents=True, exist_ok=True)
 
     written: list[str] = []
     matrices: list[analysis.CorrelationMatrix] = []
@@ -431,8 +435,11 @@ def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
                           holdout=int(cfg["train"]["holdout"]))
         if train_args["holdout"] >= phantom_args["subjects"]:
             raise ValueError(f"holdout {train_args['holdout']} leaves no training subjects")
+        TrainConfig(epochs=train_args["epochs"])  # rejects epochs < 1
     run_args = dict(samples=int(run["samples"]), seed=derive_seed(seed, "run-stage"),
                     cases=parse_case_selection(str(run["cases"])), binarize=bool(run["binarize"]))
+    if run_args["samples"] < 2:
+        raise ValueError(f"run samples must be >= 2, got {run_args['samples']}")
     return phantom_args, train_args, run_args
 
 

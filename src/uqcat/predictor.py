@@ -17,6 +17,17 @@ the loss surface is smooth and central differences at step 1e-3 agree with
 backpropagation to well under 0.1% everywhere.  Training minimizes a
 composite of binary cross-entropy and soft-Dice loss (weighted 0.3/0.7 by
 default) with a reduce-on-plateau learning-rate schedule.
+
+The 3x3 convolutions reach BLAS through ``np.matmul`` directly, one
+product per kernel tap: the forward pass multiplies each tap's (F, C)
+weights by the whole zero-padded image and adds the tap's shifted window
+of the product to the output, and the backward pass multiplies the taps'
+transposed weights by the output gradient (dx) and the shifted inputs by
+that gradient (dw).  Every product computes the same float32 dot products
+in the same order as the einsum formulation the committed golden digests
+were made with (``tests/oracles.py``), so the outputs are bit-identical to
+it; the dw product keeps einsum's operand order, and the 1x1 head's
+forward pass stays an einsum.
 """
 
 from __future__ import annotations
@@ -85,6 +96,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise PredictorError(f"epochs must be >= 1, got {self.epochs}")
         if abs(self.w_ce + self.w_dice - 1.0) > 1e-9:
             raise PredictorError(f"loss weights must sum to 1, got {self.w_ce} + {self.w_dice}")
         if not (0.0 < self.plateau_factor < 1.0):
@@ -173,46 +186,60 @@ def _loss_and_grad_wrt_logits(logits: np.ndarray, y: np.ndarray, w_ce: float, w_
 # --------------------------------------------------------------------------
 
 def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 'same' convolution, zero padded; x is (B, C, H, W), w is (F, C, 3, 3)."""
-    bsz, _, h, wd = x.shape
-    out = np.empty((bsz, w.shape[0], h, wd), dtype=x.dtype)
+    """3x3 'same' convolution, zero padded; x is (B, C, H, W), w is (F, C, 3, 3).
+
+    Each tap is one batched (F, C) @ (C, (H+2)*(W+2)) product over the
+    whole padded image; the tap's shifted window of that product is added
+    to the output.
+    """
+    bsz, c, h, wd = x.shape
+    f = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).reshape(bsz, c, -1)
+    out = np.empty((bsz, f, h, wd), dtype=x.dtype)
     out[:] = b[None, :, None, None]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     for di in range(3):
         for dj in range(3):
-            out += np.einsum(
-                "fc,bchw->bfhw", w[:, :, di, dj], xp[:, :, di : di + h, dj : dj + wd], optimize=True
-            )
+            out += (w[:, :, di, dj] @ xp).reshape(bsz, f, h + 2, wd + 2)[:, :, di : di + h, dj : dj + wd]
     return out
 
 
 def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
-    bsz, _, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    db = dout.sum(axis=(0, 2, 3))
+    """(dx, dw, db) of :func:`_conv3`.
+
+    dw multiplies (C, B*H*W) by (B*H*W, F) and transposes the result: this
+    operand order fixes the float32 summation order of the long B*H*W sum.
+    """
+    bsz, c, h, wd = x.shape
+    f = w.shape[0]
+    xt = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))  # (C, B, H+2, W+2)
+    d3 = dout.reshape(bsz, f, h * wd)
+    dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)
+    dxp = np.zeros((bsz, c, h + 2, wd + 2), dtype=x.dtype)
+    dw = np.empty_like(w)
     for di in range(3):
         for dj in range(3):
-            patch = xp[:, :, di : di + h, dj : dj + wd]
-            dw[:, :, di, dj] = np.einsum("bfhw,bchw->fc", dout, patch, optimize=True)
-            dxp[:, :, di : di + h, dj : dj + wd] += np.einsum(
-                "fc,bfhw->bchw", w[:, :, di, dj], dout, optimize=True
-            )
-    return dxp[:, :, 1:-1, 1:-1], dw, db
+            dw[:, :, di, dj] = (xt[:, :, di : di + h, dj : dj + wd].reshape(c, -1) @ dmat).T
+            dxp[:, :, di : di + h, dj : dj + wd] += (w[:, :, di, dj].T @ d3).reshape(bsz, c, h, wd)
+    return dxp[:, :, 1:-1, 1:-1], dw, dout.sum(axis=(0, 2, 3))
 
 
 def _conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1x1 convolution; w is (F, C, 1, 1)."""
+    """1x1 convolution; w is (F, C, 1, 1).
+
+    Stays an einsum: for the F=1 head a per-image matmul becomes a
+    matrix-vector product, which sums in another float32 order.
+    """
     return np.einsum("fc,bchw->bfhw", w[:, :, 0, 0], x, optimize=True) + b[None, :, None, None]
 
 
 def _conv1_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
-    dw = np.zeros_like(w)
-    dw[:, :, 0, 0] = np.einsum("bfhw,bchw->fc", dout, x, optimize=True)
-    db = dout.sum(axis=(0, 2, 3))
-    dx = np.einsum("fc,bfhw->bchw", w[:, :, 0, 0], dout, optimize=True)
-    return dx, dw, db
+    """(dx, dw, db) of :func:`_conv1`, with dw in the operand order of :func:`_conv3_backward`."""
+    bsz, c, h, wd = x.shape
+    f = w.shape[0]
+    dw = np.empty_like(w)
+    dw[:, :, 0, 0] = (x.transpose(1, 0, 2, 3).reshape(c, -1) @ dout.transpose(0, 2, 3, 1).reshape(-1, f)).T
+    dx = (w[:, :, 0, 0].T @ dout.reshape(bsz, f, h * wd)).reshape(x.shape)
+    return dx, dw, dout.sum(axis=(0, 2, 3))
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:

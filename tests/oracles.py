@@ -2,9 +2,12 @@
 
 Everything here is deliberately brute force and shares no code with the
 library: plain Python loops, explicit formulas, O(n^2) transforms.  Tests
-compare the vectorized implementations against these.  The one exception
-is :func:`invert_affine`, a baseline rather than an oracle, which takes and
-returns the library's parameter container.
+compare the vectorized implementations against these.  Two exceptions:
+:func:`invert_affine`, a baseline rather than an oracle, which takes and
+returns the library's parameter container; and the ``einsum_conv*``
+functions, the einsum formulation of the segmenter's convolutions that the
+committed golden digests were made with, which the library must reproduce
+bit for bit.
 """
 
 import math
@@ -276,3 +279,89 @@ def spearman(xs, ys) -> float:
         return r
 
     return pearson(ranks(list(xs)), ranks(list(ys)))
+
+
+# --------------------------------------------------------------------------
+# convolutions
+# --------------------------------------------------------------------------
+
+def conv3_loops(x, w, b) -> np.ndarray:
+    """3x3 'same' zero-padded convolution; x is (B, C, H, W), w is (F, C, 3, 3)."""
+    bsz, c_in, h, wd = x.shape
+    out = np.zeros((bsz, w.shape[0], h, wd))
+    for n in range(bsz):
+        for f in range(w.shape[0]):
+            for i in range(h):
+                for j in range(wd):
+                    total = float(b[f])
+                    for c in range(c_in):
+                        for di in range(3):
+                            for dj in range(3):
+                                ii, jj = i + di - 1, j + dj - 1
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    total += float(w[f, c, di, dj]) * float(x[n, c, ii, jj])
+                    out[n, f, i, j] = total
+    return out
+
+
+def conv3_backward_loops(dout, x, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dw, db) of :func:`conv3_loops` for the upstream gradient ``dout``."""
+    bsz, c_in, h, wd = x.shape
+    dx = np.zeros(x.shape)
+    dw = np.zeros(w.shape)
+    db = np.zeros(w.shape[0])
+    for n in range(bsz):
+        for f in range(w.shape[0]):
+            for i in range(h):
+                for j in range(wd):
+                    g = float(dout[n, f, i, j])
+                    db[f] += g
+                    for c in range(c_in):
+                        for di in range(3):
+                            for dj in range(3):
+                                ii, jj = i + di - 1, j + dj - 1
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    dw[f, c, di, dj] += g * float(x[n, c, ii, jj])
+                                    dx[n, c, ii, jj] += g * float(w[f, c, di, dj])
+    return dx, dw, db
+
+
+def einsum_conv3(x, w, b):
+    bsz, _, h, wd = x.shape
+    out = np.empty((bsz, w.shape[0], h, wd), dtype=x.dtype)
+    out[:] = b[None, :, None, None]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    for di in range(3):
+        for dj in range(3):
+            out += np.einsum(
+                "fc,bchw->bfhw", w[:, :, di, dj], xp[:, :, di : di + h, dj : dj + wd], optimize=True
+            )
+    return out
+
+
+def einsum_conv3_backward(dout, x, w):
+    bsz, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    db = dout.sum(axis=(0, 2, 3))
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, :, di : di + h, dj : dj + wd]
+            dw[:, :, di, dj] = np.einsum("bfhw,bchw->fc", dout, patch, optimize=True)
+            dxp[:, :, di : di + h, dj : dj + wd] += np.einsum(
+                "fc,bfhw->bchw", w[:, :, di, dj], dout, optimize=True
+            )
+    return dxp[:, :, 1:-1, 1:-1], dw, db
+
+
+def einsum_conv1(x, w, b):
+    return np.einsum("fc,bchw->bfhw", w[:, :, 0, 0], x, optimize=True) + b[None, :, None, None]
+
+
+def einsum_conv1_backward(dout, x, w):
+    dw = np.zeros_like(w)
+    dw[:, :, 0, 0] = np.einsum("bfhw,bchw->fc", dout, x, optimize=True)
+    db = dout.sum(axis=(0, 2, 3))
+    dx = np.einsum("fc,bfhw->bchw", w[:, :, 0, 0], dout, optimize=True)
+    return dx, dw, db

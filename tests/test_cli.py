@@ -155,6 +155,31 @@ def test_run_missing_subjects_creates_no_output(small_run, tmp_path):
     assert not out.exists()
 
 
+def test_phantom_failure_creates_no_output(tmp_path):
+    out = tmp_path / "ph"
+    assert main(["phantom", "--out", str(out), "--subjects", "1", "--dims", "6,6,6"]) == 1  # lesions cannot fit
+    assert not out.exists()
+
+
+def test_analyze_without_maps_creates_no_output(tmp_path):
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--maps", str(tmp_path / "nomaps"), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_train_zero_epochs_exits_2_before_output(small_run, tmp_path):
+    out = tmp_path / "model.uqp"
+    assert main(["train", "--data", str(small_run / "ph"), "--out", str(out), "--epochs", "0", "--seed", "5"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_one_sample_exits_2_before_output(small_run, tmp_path):
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
+                 "--out", str(out), "--samples", "1", "--seed", "5", "--cases", "1"]) == 2
+    assert not out.exists()
+
+
 def test_run_accepts_images_without_labels(small_run, tmp_path):
     subjects = tmp_path / "imgs_only"
     subjects.mkdir()
@@ -352,6 +377,20 @@ def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overri
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "bad_cfg.json" in capsys.readouterr().err
     assert not (out / "phantoms").exists()
+
+
+@pytest.mark.parametrize("overrides, flags", [
+    ({"run": {"samples": 1, "cases": "1,7"}}, []),
+    ({"train": {"epochs": 0}}, []),
+    ({}, ["--samples", "1"]),
+    ({}, ["--epochs", "0"]),
+], ids=["config-samples-1", "config-epochs-0", "flag-samples-1", "flag-epochs-0"])
+def test_pipeline_too_few_samples_or_epochs_exit_2_before_output(tmp_path, overrides, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(pipeline_config(**overrides)))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+    assert not out.exists()
 
 
 def test_pipeline_matches_standalone_commands(tmp_path):

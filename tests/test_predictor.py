@@ -20,6 +20,7 @@ from uqcat import (
     soft_dice_loss,
     train,
 )
+from uqcat import predictor
 from uqcat.predictor import _loss_and_grad_wrt_logits, _PlateauSchedule, channel_dropout_scale
 
 
@@ -119,6 +120,48 @@ def test_channel_dropout_frequency_and_scaling():
         assert np.allclose(survivors, 1.0 / (1.0 - rate), atol=1e-6)
     freq = drops / trials
     assert np.all(np.abs(freq - rate) <= 0.02)
+
+
+# --------------------------------------------------------------------------
+# convolution kernels
+# --------------------------------------------------------------------------
+
+# in-plane size divisor of each layer of the default network (bot runs after one pooling)
+CONV_LAYERS = {"enc0": 1, "bot": 2, "dec0": 1, "head": 1}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grid", [(16, 8), (32, 16), (64, 32)], ids=["16x16x8", "32x32x16", "64x64x32"])
+@pytest.mark.parametrize("batch", ["step", "volume"])
+@pytest.mark.parametrize("layer", CONV_LAYERS)
+def test_conv_kernels_reproduce_einsum_formulation_bit_for_bit(layer, batch, grid, dtype):
+    # the golden digests were made with the einsum kernels, so any change of bits fails here first
+    side, nz = grid
+    h = side // CONV_LAYERS[layer]
+    bsz = TrainConfig().batch_slices if batch == "step" else nz
+    f, c, k, _ = TinySegmenter().params[f"{layer}.W"].shape
+    rng = np.random.default_rng([side, bsz, f, c])
+    x = rng.normal(size=(bsz, c, h, h)).astype(dtype)
+    w = rng.uniform(-0.5, 0.5, size=(f, c, k, k)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype)
+    dout = rng.normal(size=(bsz, f, h, h)).astype(dtype)
+    kind = f"conv{k}"
+    got = [getattr(predictor, f"_{kind}")(x, w, b), *getattr(predictor, f"_{kind}_backward")(dout, x, w)]
+    want = [getattr(oracles, f"einsum_{kind}")(x, w, b), *getattr(oracles, f"einsum_{kind}_backward")(dout, x, w)]
+    for name, g, e in zip(("out", "dx", "dw", "db"), got, want):
+        assert g.dtype == e.dtype and g.shape == e.shape, name
+        assert np.array_equal(g, e), name
+
+
+def test_conv3_matches_brute_force_loops():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(2, 3, 4, 6))  # non-square, so a swapped axis shows
+    w = rng.normal(size=(2, 3, 3, 3))
+    b = rng.normal(size=2)
+    dout = rng.normal(size=(2, 2, 4, 6))
+    np.testing.assert_allclose(predictor._conv3(x, w, b), oracles.conv3_loops(x, w, b), rtol=1e-12, atol=1e-12)
+    for got, want in zip(predictor._conv3_backward(dout, x, w), oracles.conv3_backward_loops(dout, x, w)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +289,8 @@ def test_train_config_validation():
         TrainConfig(plateau_factor=1.5)
     with pytest.raises(PredictorError):
         TrainConfig(batch_slices=0)
+    with pytest.raises(PredictorError, match="epochs"):
+        TrainConfig(epochs=0)
     with pytest.raises(PredictorError):
         PredictorConfig(n_blocks=0)
     with pytest.raises(PredictorError):
