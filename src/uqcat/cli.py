@@ -454,7 +454,6 @@ def cmd_pipeline(out: Path, config: Path | None = None, model: Path | None = Non
     if train_args is None and not model:
         raise UsageError("config has no 'train' section and no --model was given")
     _thread_count()  # reject a bad UQCAT_THREADS before any stage writes
-    out.mkdir(parents=True, exist_ok=True)
 
     stage = "phantom"
     try:

@@ -28,6 +28,25 @@ in the same order as the einsum formulation the committed golden digests
 were made with (``tests/oracles.py``), so the outputs are bit-identical to
 it; the dw product keeps einsum's operand order, and the 1x1 head's
 forward pass stays an einsum.
+
+The layers around the convolutions copy as little as they can, and each
+keeps the bits of the numpy idiom it replaced (also in ``tests/oracles.py``).
+Padding writes the image into a zero buffer.  Pooling adds the four
+strided 2x2 views pairwise, ``((a00 + a01) + (a10 + a11)) / 4``, the order
+in which numpy reduces the reshaped mean (the left-to-right sum rounds
+differently; 2-pixel-wide inputs keep the reshape).  Upsampling makes four strided assignments, in the decoder
+straight into the concat buffer with the skip copied in after it, and
+softplus reuses one temporary.
+
+Test-time dropout passes share the first block.  Its conv and softplus
+come before the first dropout mask, and every dropout pass of a case sees
+the same unperturbed image, so :meth:`TinySegmenter.forward` keeps that
+activation in a one-entry memo keyed by the image and the block's
+parameter arrays (:meth:`TinySegmenter._first_activation`).  Each pass
+still draws all its masks from its own generator in block order, so the
+outputs are bit-identical to recomputing the block.  Passes without
+dropout (test-time augmentation, training, validation) never repeat an
+image and bypass the memo.
 """
 
 from __future__ import annotations
@@ -185,6 +204,14 @@ def _loss_and_grad_wrt_logits(logits: np.ndarray, y: np.ndarray, w_ce: float, w_
 # numpy layers
 # --------------------------------------------------------------------------
 
+def _pad1(x: np.ndarray) -> np.ndarray:
+    """``x`` with a one-pixel zero border around its last two axes."""
+    *lead, h, w = x.shape
+    xp = np.zeros((*lead, h + 2, w + 2), dtype=x.dtype)
+    xp[..., 1:-1, 1:-1] = x
+    return xp
+
+
 def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 'same' convolution, zero padded; x is (B, C, H, W), w is (F, C, 3, 3).
 
@@ -194,7 +221,7 @@ def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     bsz, c, h, wd = x.shape
     f = w.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))).reshape(bsz, c, -1)
+    xp = _pad1(x).reshape(bsz, c, -1)
     out = np.empty((bsz, f, h, wd), dtype=x.dtype)
     out[:] = b[None, :, None, None]
     for di in range(3):
@@ -211,7 +238,7 @@ def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
     """
     bsz, c, h, wd = x.shape
     f = w.shape[0]
-    xt = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (1, 1), (1, 1)))  # (C, B, H+2, W+2)
+    xt = _pad1(x.transpose(1, 0, 2, 3))  # (C, B, H+2, W+2)
     d3 = dout.reshape(bsz, f, h * wd)
     dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)
     dxp = np.zeros((bsz, c, h + 2, wd + 2), dtype=x.dtype)
@@ -242,22 +269,47 @@ def _conv1_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dx, dw, dout.sum(axis=(0, 2, 3))
 
 
-def _avgpool2(x: np.ndarray) -> np.ndarray:
+def _sum2x2(x: np.ndarray) -> np.ndarray:
+    """Sum of each 2x2 block of the last two axes, bit-identical to
+    ``x.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))``.
+
+    numpy sums that reshape as ``(0 + (a00 + a01)) + (a10 + a11)``: the two
+    row pairs, accumulated from a zero start.  Adding 0.0 last does what
+    the zero start does, turning a -0.0 sum into +0.0.  At width 2 numpy
+    fuses each block into one left-to-right sum instead, so that case
+    keeps the reshape.
+    """
     b, c, h, w = x.shape
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    if w == 2:
+        return x.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    s = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    s += x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
+    s += 0.0
+    return s
+
+
+def _avgpool2(x: np.ndarray) -> np.ndarray:
+    s = _sum2x2(x)
+    s /= 4
+    return s
 
 
 def _avgpool2_backward(dout: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
+    return _upsample2(dout / 4.0)
 
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+def _upsample2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Nearest-neighbour 2x upsampling, written into ``out`` when one is given."""
+    b, c, h, w = x.shape
+    if out is None:
+        out = np.empty((b, c, 2 * h, 2 * w), dtype=x.dtype)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, :, i::2, j::2] = x
+    return out
 
 
-def _upsample2_backward(dout: np.ndarray) -> np.ndarray:
-    b, c, h, w = dout.shape
-    return dout.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+_upsample2_backward = _sum2x2  # each input pixel fed one 2x2 block of the output
 
 
 def channel_dropout_scale(n_channels: int, rate: float, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
@@ -267,8 +319,14 @@ def channel_dropout_scale(n_channels: int, rate: float, rng: np.random.Generator
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)), overflow-safe."""
-    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+    """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|)).  ``x`` is not written."""
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out = np.maximum(x, 0)
+    out += t
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +364,8 @@ class TinySegmenter:
         self.config = config or PredictorConfig()
         self.seed = int(seed)
         self.params = _init_params(self.config, derive_rng(self.seed, "init"))
+        # (volume, W, b, activation) of the last dropout pass's first block
+        self._first_memo: tuple | None = None
 
     # -- volume-level API ---------------------------------------------------
 
@@ -313,11 +373,35 @@ class TinySegmenter:
         """Per-voxel foreground probability; deterministic in (params, v, rate, seed)."""
         if not (0.0 <= dropout_rate < 1.0):
             raise PredictorError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-        x = self._stack_slices(v)
-        rng = np.random.default_rng(seed) if dropout_rate > 0.0 else None
-        logits, _ = self._forward_slices(x, self.params, dropout_rate, rng, want_cache=False)
+        if dropout_rate > 0.0:
+            first = self._first_activation(v)
+            rng = np.random.default_rng(seed)
+            logits, _ = self._forward_slices(None, self.params, dropout_rate, rng, want_cache=False, first=first)
+        else:
+            logits, _ = self._forward_slices(self._stack_slices(v), self.params, 0.0, None, want_cache=False)
         probs = expit(logits[:, 0].astype(np.float64))
         return Volume(np.moveaxis(probs, 0, 2), v.spacing)
+
+    def _first_activation(self, v: Volume) -> np.ndarray:
+        """Read-only softplus activation of the first block for ``v``, before dropout.
+
+        It comes before the first dropout mask, so every dropout pass over
+        the same image shares it.  A one-entry memo keeps it, keyed by the
+        identity of the (immutable) volume and of the block's W and b
+        arrays, which it holds so their ids cannot be reused.  Training and
+        :meth:`load` replace parameter arrays rather than writing into
+        them, so a parameter change misses the memo.  One tuple is read and
+        written whole, so concurrent passes see either entry, never a mix.
+        """
+        name = "enc0" if self.config.n_blocks > 1 else "bot"
+        w, b = self.params[f"{name}.W"], self.params[f"{name}.b"]
+        memo = self._first_memo
+        if memo is not None and memo[0] is v and memo[1] is w and memo[2] is b:
+            return memo[3]
+        act = _softplus(_conv3(self._stack_slices(v), w, b))
+        act.flags.writeable = False
+        self._first_memo = (v, w, b, act)
+        return act
 
     def _stack_slices(self, v: Volume, dtype=np.float32) -> np.ndarray:
         """(nz, channels, nx, ny) input with replicate-padded slice context."""
@@ -334,20 +418,26 @@ class TinySegmenter:
             x[:, c] = np.moveaxis(v.data[:, :, zidx], 2, 0)
         return x
 
-    def _forward_slices(self, x, params, rate, rng, want_cache: bool):
-        """Logits (B, 1, H, W) for a slice batch; cache holds backward state."""
-        dtype = x.dtype
+    def _forward_slices(self, x, params, rate, rng, want_cache: bool, first=None):
+        """Logits (B, 1, H, W) for a slice batch; cache holds backward state.
+
+        ``first``, when given, is the first block's activation for the
+        batch (:meth:`_first_activation`) and ``x`` is not read; that
+        block's dropout mask is still drawn here, in block order.
+        """
         n_blocks = self.config.n_blocks
         cache: list = []
         skips: list = []
         h = x
 
-        def block(name: str, inp: np.ndarray) -> np.ndarray:
-            pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
-            act = _softplus(pre)
+        def block(name: str, inp: np.ndarray | None, act: np.ndarray | None = None) -> np.ndarray:
+            pre = None
+            if act is None:
+                pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
+                act = _softplus(pre)
             if rate > 0.0:
-                scale = channel_dropout_scale(act.shape[1], rate, rng, dtype)
-                out = act * scale[None, :, None, None]
+                scale = channel_dropout_scale(act.shape[1], rate, rng, act.dtype)
+                out = act * scale[None, :, None, None]  # a new array: ``act`` may be the shared one
             else:
                 scale = None
                 out = act
@@ -356,14 +446,17 @@ class TinySegmenter:
             return out
 
         for i in range(n_blocks - 1):
-            h = block(f"enc{i}", h)
+            h = block(f"enc{i}", h, first if i == 0 else None)
             skips.append(h)
             h = _avgpool2(h)
-        h = block("bot", h)
+        h = block("bot", h, first if n_blocks == 1 else None)
         for i in reversed(range(n_blocks - 1)):
-            h = _upsample2(h)
-            h = np.concatenate([h, skips[i]], axis=1)
-            h = block(f"dec{i}", h)
+            # upsample straight into the concat buffer, then copy the skip after it
+            skip, deep = skips[i], h.shape[1]
+            cat = np.empty((skip.shape[0], deep + skip.shape[1], *skip.shape[2:]), dtype=skip.dtype)
+            _upsample2(h, out=cat[:, :deep])
+            cat[:, deep:] = skip
+            h = block(f"dec{i}", cat)
         logits = _conv1(h, params["head.W"], params["head.b"])
         if want_cache:
             cache.append({"name": "head", "x": h})
@@ -398,7 +491,8 @@ class TinySegmenter:
             dh = _upsample2_backward(d_deeper)
         dh = block_backward(dh)  # bottleneck
         for i in reversed(range(n_blocks - 1)):
-            dh = _avgpool2_backward(dh) + dskips[i]
+            dh = _avgpool2_backward(dh)
+            dh += dskips[i]
             dh = block_backward(dh)  # enc{i}
         return grads
 

@@ -5,9 +5,10 @@ library: plain Python loops, explicit formulas, O(n^2) transforms.  Tests
 compare the vectorized implementations against these.  Two exceptions:
 :func:`invert_affine`, a baseline rather than an oracle, which takes and
 returns the library's parameter container; and the ``einsum_conv*``
-functions, the einsum formulation of the segmenter's convolutions that the
-committed golden digests were made with, which the library must reproduce
-bit for bit.
+functions and the numpy layer bodies after them (padding, pooling,
+upsampling, softplus), the formulation of the segmenter the committed
+golden digests were made with, which the library must reproduce bit for
+bit.
 """
 
 import math
@@ -365,3 +366,29 @@ def einsum_conv1_backward(dout, x, w):
     db = dout.sum(axis=(0, 2, 3))
     dx = np.einsum("fc,bfhw->bchw", w[:, :, 0, 0], dout, optimize=True)
     return dx, dw, db
+
+
+def pad1(x):
+    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+
+def avgpool2(x):
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+def avgpool2_backward(dout):
+    return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
+
+
+def upsample2(x):
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
+def upsample2_backward(dout):
+    b, c, h, w = dout.shape
+    return dout.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+
+def softplus(x):
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))

@@ -307,6 +307,17 @@ def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     assert "stage 'phantom' failed" in capsys.readouterr().err
 
 
+def test_pipeline_phantom_failure_leaves_no_out(tmp_path, capsys):
+    cfg = pipeline_config()
+    cfg["phantom"]["dims"] = [6, 6, 6]  # default lesions cannot fit
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "stage 'phantom' failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_flag_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config()))

@@ -1,7 +1,10 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import oracles
 from uqcat import (
@@ -49,6 +52,79 @@ def test_forward_seed_contract():
     c = model.forward(img, dropout_rate=0.03, seed=8)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+def forward_from_scratch(model, img, rate, seed):
+    """The dropout forward pass without the shared first block: fresh slice stack, conv and rng."""
+    x = model._stack_slices(img)
+    logits, _ = model._forward_slices(x, model.params, rate, np.random.default_rng(seed), want_cache=False)
+    return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_dropout_passes_share_the_first_block_bit_for_bit(n_blocks):
+    img, _ = small_phantom()
+    model = TinySegmenter(PredictorConfig(n_blocks=n_blocks), seed=1)
+    model.forward(img, dropout_rate=0.2, seed=0)
+    shared = model._first_memo[3]
+    for seed in range(1, 6):
+        got = model.forward(img, dropout_rate=0.2, seed=seed).data
+        assert model._first_memo[3] is shared
+        want = forward_from_scratch(model, img, 0.2, seed)
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_first_block_memo_misses_after_parameter_replacement():
+    img, _ = small_phantom()
+    model = TinySegmenter(seed=1)
+    model.forward(img, dropout_rate=0.2, seed=3)
+    model.params["enc0.W"] = model.params["enc0.W"] * np.float32(0.5)
+    fresh = TinySegmenter(seed=1)
+    fresh.params = dict(model.params)
+    got = model.forward(img, dropout_rate=0.2, seed=3).data
+    assert got.tobytes() == fresh.forward(img, dropout_rate=0.2, seed=3).data.tobytes()
+    assert got.tobytes() == forward_from_scratch(model, img, 0.2, 3).tobytes()
+
+
+def test_deterministic_forwards_leave_the_memo_alone():
+    img, _ = small_phantom()
+    other, _ = small_phantom(seed=9)
+    model = TinySegmenter(seed=1)
+    model.forward(img)
+    assert model._first_memo is None
+    model.forward(img, dropout_rate=0.1, seed=0)
+    memo = model._first_memo
+    model.forward(img)
+    model.forward(other, dropout_rate=0.0, seed=5)
+    assert model._first_memo is memo
+
+
+def test_shared_first_activation_is_read_only():
+    img, _ = small_phantom()
+    model = TinySegmenter(seed=1)
+    model.forward(img, dropout_rate=0.1, seed=0)
+    act = model._first_memo[3]
+    assert not act.flags.writeable
+    with pytest.raises(ValueError):
+        act *= 2.0
+
+
+def test_shared_first_block_under_thread_contention():
+    # threads alternate two images, so the one-entry memo is replaced while others read it
+    images = [small_phantom(seed=s)[0] for s in (4, 9)]
+    model = TinySegmenter(seed=1)
+    jobs = [(seed % 2, seed) for seed in range(24)]
+    want = {job: forward_from_scratch(model, images[job[0]], 0.3, job[1]).tobytes() for job in jobs}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = dict(zip(jobs, pool.map(
+                lambda job: model.forward(images[job[0]], dropout_rate=0.3, seed=job[1]).data.tobytes(),
+                jobs, timeout=120)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_forward_dims_validation():
@@ -162,6 +238,59 @@ def test_conv3_matches_brute_force_loops():
     np.testing.assert_allclose(predictor._conv3(x, w, b), oracles.conv3_loops(x, w, b), rtol=1e-12, atol=1e-12)
     for got, want in zip(predictor._conv3_backward(dout, x, w), oracles.conv3_backward_loops(dout, x, w)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def assert_same_bits(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+    assert got.tobytes() == want.tobytes(), name  # also tells -0.0 from 0.0
+
+
+def plumbing_input(rng, shape, dtype):
+    """Normal values of mixed magnitude, with signed zeros and large magnitudes mixed in."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    specials = np.array([0.0, -0.0, 30.0, -30.0, 100.0, -100.0, 1e4, -1e4, 1e30, -1e30])
+    pick = rng.random(shape) < 0.05
+    x[pick] = rng.choice(specials, size=int(pick.sum()))
+    x[:, :, :2, :2] = -0.0  # a whole pooling block of -0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grid", [(16, 8), (32, 16), (64, 32)], ids=["16x16x8", "32x32x16", "64x64x32"])
+@pytest.mark.parametrize("layer", ["enc0", "bot", "dec0"])
+def test_layer_plumbing_reproduces_old_kernels_bit_for_bit(layer, grid, dtype):
+    # each kernel gets the shape of the layer's conv input or of its activation
+    side, nz = grid
+    h = side // CONV_LAYERS[layer]
+    f, c, _, _ = TinySegmenter().params[f"{layer}.W"].shape
+    rng = np.random.default_rng([side, f, c])
+    x = plumbing_input(rng, (nz, c, h, h), dtype)
+    act = plumbing_input(rng, (nz, f, h, h), dtype)
+    assert_same_bits(predictor._pad1(x), oracles.pad1(x), "pad")
+    xt = x.transpose(1, 0, 2, 3)
+    assert_same_bits(predictor._pad1(xt), oracles.pad1(xt), "pad of the transposed input")
+    before = act.copy()
+    assert_same_bits(predictor._softplus(act), oracles.softplus(act), "softplus")
+    assert act.tobytes() == before.tobytes(), "softplus wrote to its input"
+    assert_same_bits(predictor._avgpool2(act), oracles.avgpool2(act), "avgpool2")
+    assert_same_bits(predictor._avgpool2_backward(act), oracles.avgpool2_backward(act), "avgpool2_backward")
+    assert_same_bits(predictor._upsample2(act), oracles.upsample2(act), "upsample2")
+    assert_same_bits(predictor._upsample2_backward(act), oracles.upsample2_backward(act), "upsample2_backward")
+    # the backward pass hands the upsampling the leading channels of the concat gradient
+    d_deeper = x[:, : max(1, c // 2)]
+    assert_same_bits(predictor._upsample2_backward(d_deeper), oracles.upsample2_backward(d_deeper),
+                     "upsample2_backward of a channel slice")
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2, 2), (2, 3, 6, 2), (2, 3, 2, 6), (1, 1, 4, 4)])
+def test_block_sums_reproduce_reshape_at_small_widths(shape):
+    # numpy sums a width-2 reshape in another order than wider ones
+    rng = np.random.default_rng(list(shape))
+    for dtype in (np.float32, np.float64):
+        x = plumbing_input(rng, shape, dtype)
+        assert_same_bits(predictor._avgpool2(x), oracles.avgpool2(x), "avgpool2")
+        assert_same_bits(predictor._upsample2_backward(x), oracles.upsample2_backward(x), "upsample2_backward")
 
 
 # --------------------------------------------------------------------------
