@@ -15,7 +15,6 @@ gradients, so the whole pipeline runs at desk scale on synthetic phantoms.
 
 from .analysis import (
     AnalysisError,
-    CaseSummary,
     CorrelationMatrix,
     UndefinedCorrelationError,
     correlation_matrix,

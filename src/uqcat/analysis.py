@@ -52,16 +52,6 @@ class CorrelationMatrix:
         object.__setattr__(self, "case_ids", tuple(int(c) for c in self.case_ids))
 
 
-@dataclass(frozen=True)
-class CaseSummary:
-    """Mean of non-zero entropy values (NaN if none) and their count."""
-
-    subject: int
-    case_id: int
-    mean_nonzero: float
-    count: int
-
-
 def voxelwise_median_iqr(maps: list[Volume]) -> tuple[Volume, Volume]:
     """Per-voxel median and Q3 - Q1 across the given same-grid maps."""
     if len(maps) < 2:
@@ -105,18 +95,14 @@ def spatial_correlation(a: Volume, b: Volume, m: Mask) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
-def correlation_matrix(maps: dict[int, Volume] | list[Volume], mask: Mask, subject: int | str = 0) -> CorrelationMatrix:
-    """Symmetric unit-diagonal matrix of masked correlations between case maps.
+def correlation_matrix(maps: dict[int, Volume], mask: Mask, subject: int | str = 0) -> CorrelationMatrix:
+    """Symmetric unit-diagonal matrix of masked correlations between {case_id: map} maps.
 
-    ``maps`` is either a {case_id: map} dict or a list (case ids then run
-    1..K).  Entries whose correlation is undefined are NaN.
+    Rows and columns follow ascending case id.  Entries whose correlation
+    is undefined are NaN.
     """
-    if isinstance(maps, dict):
-        case_ids = tuple(sorted(maps))
-        vols = [maps[c] for c in case_ids]
-    else:
-        case_ids = tuple(range(1, len(maps) + 1))
-        vols = list(maps)
+    case_ids = tuple(sorted(maps))
+    vols = [maps[c] for c in case_ids]
     k = len(vols)
     values = np.full((k, k), np.nan)
     for i in range(k):

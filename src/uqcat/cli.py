@@ -153,15 +153,17 @@ def cmd_phantom(out: Path, subjects: int, seed: int, dims: tuple[int, int, int],
 _IMG_RE = re.compile(r"^sub-(0|[1-9]\d*)_img\.vvol$")
 
 
-def _load_cohort(directory: Path, need_labels: bool = True) -> dict[int, tuple[Volume, Volume | None]]:
-    """Subjects keyed by the id in their ``sub-<i>_img.vvol`` file name, in id order."""
+def _load_cohort(directory: Path, labels: bool) -> dict[int, tuple[Volume, Volume | None]]:
+    """Subjects keyed by the id in their ``sub-<i>_img.vvol`` file name, in id order.
+
+    Labels are read only when ``labels`` is true; otherwise each label is None.
+    """
     ids = sorted(int(m.group(1)) for p in directory.glob("sub-*_img.vvol") if (m := _IMG_RE.match(p.name)))
     if not ids:
         raise FileNotFoundError(f"no sub-*_img.vvol files in {directory}")
     cohort = {}
     for sid in ids:
-        lab_path = directory / f"sub-{sid}_lab.vvol"
-        label = read_volume(lab_path) if (need_labels or lab_path.exists()) else None
+        label = read_volume(directory / f"sub-{sid}_lab.vvol") if labels else None
         cohort[sid] = (read_volume(directory / f"sub-{sid}_img.vvol"), label)
     return cohort
 
@@ -175,7 +177,7 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
         cfg = TrainConfig(epochs=epochs, seed=seed)
     except PredictorError as exc:
         raise UsageError(str(exc))
-    cohort = list(_load_cohort(data).values())
+    cohort = list(_load_cohort(data, labels=True).values())
     if holdout >= len(cohort):
         raise UsageError(f"--holdout {holdout} leaves no training subjects (cohort has {len(cohort)})")
     train_set = cohort[: len(cohort) - holdout] if holdout else cohort
@@ -212,7 +214,7 @@ def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cas
         raise UsageError(f"--samples must be >= 2, got {samples}")
     threads = _thread_count()
     segmenter = TinySegmenter.load(model)
-    cohort = _load_cohort(subjects, need_labels=False)
+    cohort = _load_cohort(subjects, labels=False)
     out.mkdir(parents=True, exist_ok=True)
 
     jobs = [(sid, cid) for sid in cohort for cid in cases]
@@ -283,7 +285,7 @@ def cmd_analyze(maps: Path, out: Path) -> int:
 
     written: list[str] = []
     matrices: list[analysis.CorrelationMatrix] = []
-    summaries: list[analysis.CaseSummary] = []
+    summary = ["subject,case,mean_nonzero_entropy,count"]
     for sid in subjects:
         ent_maps = {cid: read_volume(found[sid][cid]) for cid in case_ids}
         median, iqr = analysis.voxelwise_median_iqr([ent_maps[c] for c in case_ids])
@@ -292,7 +294,7 @@ def cmd_analyze(maps: Path, out: Path) -> int:
         matrices.append(matrix)
         for cid in case_ids:
             mean_nz, count = analysis.mean_nonzero_entropy(ent_maps[cid])
-            summaries.append(analysis.CaseSummary(sid, cid, mean_nz, count))
+            summary.append(f"{sid},{cid},{_fmt(mean_nz)},{count}")
         for name, vol in (
             (f"median_ent_sub-{sid}.vvol", median),
             (f"iqr_ent_sub-{sid}.vvol", iqr),
@@ -306,10 +308,7 @@ def cmd_analyze(maps: Path, out: Path) -> int:
     _write_matrix_csv(out / "corr_mean.csv", mean_matrix)
     written.append("corr_mean.csv")
 
-    lines = ["subject,case,mean_nonzero_entropy,count"]
-    for s in summaries:
-        lines.append(f"{s.subject},{s.case_id},{_fmt(s.mean_nonzero)},{s.count}")
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    (out / "summary.csv").write_text("\n".join(summary) + "\n")
     written.append("summary.csv")
 
     _write_manifest(
@@ -400,10 +399,18 @@ def _load_config(p: Path) -> dict:
 
 def _merge_config(file_cfg: dict, model: Path | None, seed: int | None, samples: int | None,
                   subjects: int | None, epochs: int | None) -> dict:
-    """Precedence: flags > config file > defaults.  ``"train": null`` disables training."""
+    """Precedence: flags > config file > defaults.  ``"train": null`` disables training.
+
+    A section or section key that the defaults lack is a ``ValueError``.
+    """
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for section, value in file_cfg.items():
-        if isinstance(value, dict) and isinstance(cfg.get(section), dict):
+        if section not in cfg:
+            raise ValueError(f"unknown section {section!r}")
+        if isinstance(value, dict) and isinstance(cfg[section], dict):
+            unknown = sorted(set(value) - set(cfg[section]))
+            if unknown:
+                raise ValueError(f"unknown key {section}.{unknown[0]}")
             cfg[section].update(value)
         else:
             cfg[section] = value
@@ -440,6 +447,8 @@ def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
                     cases=parse_case_selection(str(run["cases"])), binarize=bool(run["binarize"]))
     if run_args["samples"] < 2:
         raise ValueError(f"run samples must be >= 2, got {run_args['samples']}")
+    if len(set(run_args["cases"])) < 2:
+        raise ValueError(f"run cases {run['cases']!r} name fewer than 2 distinct cases; analyze needs >= 2")
     return phantom_args, train_args, run_args
 
 

@@ -14,9 +14,10 @@ Forward, backward and the Adamax optimizer are written directly in numpy,
 which keeps every gradient verifiable against finite differences
 (:func:`gradient_check`).  Activations are softplus rather than ReLU so
 the loss surface is smooth and central differences at step 1e-3 agree with
-backpropagation to well under 0.1% everywhere.  Training minimizes a
-composite of binary cross-entropy and soft-Dice loss (weighted 0.3/0.7 by
-default) with a reduce-on-plateau learning-rate schedule.
+backpropagation to well under 0.1% everywhere.  Training uses one
+fixed recipe (:class:`TrainConfig`): Adamax at learning rate 1e-3 on a
+composite of binary cross-entropy and soft-Dice loss weighted 0.3/0.7, a
+reduce-on-plateau schedule, and 4-slice batches without dropout.
 
 The 3x3 convolutions reach BLAS through ``np.matmul`` directly, one
 product per kernel tap: the forward pass multiplies each tap's (F, C)
@@ -54,7 +55,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 import numpy as np
 from scipy.special import expit
@@ -101,30 +102,24 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-3
-    plateau_factor: float = 0.25
-    patience: int = 3
-    cooldown: int = 2
+    """Epochs and seed of one training run; the recipe itself is fixed."""
+
     epochs: int = 30
-    w_ce: float = 0.3
-    w_dice: float = 0.7
-    beta1: float = 0.9
-    beta2: float = 0.999
-    dropout_rate: float = 0.0  # training-time channel dropout
-    batch_slices: int = 4      # axial slices per optimization step
     seed: int = 0
+
+    lr: ClassVar[float] = 1e-3
+    plateau_factor: ClassVar[float] = 0.25
+    patience: ClassVar[int] = 3
+    cooldown: ClassVar[int] = 2
+    w_ce: ClassVar[float] = 0.3
+    w_dice: ClassVar[float] = 0.7
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    batch_slices: ClassVar[int] = 4  # axial slices per optimization step
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise PredictorError(f"epochs must be >= 1, got {self.epochs}")
-        if abs(self.w_ce + self.w_dice - 1.0) > 1e-9:
-            raise PredictorError(f"loss weights must sum to 1, got {self.w_ce} + {self.w_dice}")
-        if not (0.0 < self.plateau_factor < 1.0):
-            raise PredictorError(f"plateau factor must be in (0, 1), got {self.plateau_factor}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise PredictorError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if self.batch_slices < 1:
-            raise PredictorError(f"batch_slices must be >= 1, got {self.batch_slices}")
 
 
 @dataclass
@@ -161,8 +156,8 @@ def binary_cross_entropy(p, y) -> float:
     return float(-np.mean(ya * np.log(pc) + (1.0 - ya) * np.log(1.0 - pc)))
 
 
-def composite_loss(p, y, w_ce: float = 0.3, w_dice: float = 0.7) -> float:
-    """Weighted cross-entropy plus soft-Dice loss."""
+def composite_loss(p, y, w_ce: float = TrainConfig.w_ce, w_dice: float = TrainConfig.w_dice) -> float:
+    """Weighted cross-entropy plus soft-Dice loss, by default with the training weights."""
     return w_ce * binary_cross_entropy(p, y) + w_dice * soft_dice_loss(p, y)
 
 
@@ -419,7 +414,7 @@ class TinySegmenter:
         return x
 
     def _forward_slices(self, x, params, rate, rng, want_cache: bool, first=None):
-        """Logits (B, 1, H, W) for a slice batch; cache holds backward state.
+        """Logits (B, 1, H, W) for a slice batch; at rate 0 the cache holds backward state.
 
         ``first``, when given, is the first block's activation for the
         batch (:meth:`_first_activation`) and ``x`` is not read; that
@@ -435,15 +430,12 @@ class TinySegmenter:
             if act is None:
                 pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
                 act = _softplus(pre)
-            if rate > 0.0:
-                scale = channel_dropout_scale(act.shape[1], rate, rng, act.dtype)
-                out = act * scale[None, :, None, None]  # a new array: ``act`` may be the shared one
-            else:
-                scale = None
-                out = act
             if want_cache:
-                cache.append({"name": name, "x": inp, "pre": pre, "scale": scale})
-            return out
+                cache.append({"name": name, "x": inp, "pre": pre})
+            if rate > 0.0:
+                # a new array: ``act`` may be the shared one
+                return act * channel_dropout_scale(act.shape[1], rate, rng, act.dtype)[None, :, None, None]
+            return act
 
         for i in range(n_blocks - 1):
             h = block(f"enc{i}", h, first if i == 0 else None)
@@ -474,8 +466,6 @@ class TinySegmenter:
 
         def block_backward(dout: np.ndarray) -> np.ndarray:
             entry = stack.pop()
-            if entry["scale"] is not None:
-                dout = dout * entry["scale"][None, :, None, None]
             dout = dout * expit(entry["pre"])  # d softplus(x)/dx = sigmoid(x)
             dx, dw, db = _conv3_backward(dout, entry["x"], params[f"{entry['name']}.W"])
             grads[f"{entry['name']}.W"], grads[f"{entry['name']}.b"] = dw, db
@@ -633,8 +623,7 @@ def train(
             for chunk in range(n_chunks):
                 x = x_all[chunk::n_chunks]
                 y = y_all[chunk::n_chunks]
-                rng = derive_rng(cfg.seed, "dropout", epoch, step_idx) if cfg.dropout_rate > 0 else None
-                logits, cache = pred._forward_slices(x, pred.params, cfg.dropout_rate, rng, want_cache=True)
+                logits, cache = pred._forward_slices(x, pred.params, 0.0, None, want_cache=True)
                 loss, dlogits = _loss_and_grad_wrt_logits(logits, y, cfg.w_ce, cfg.w_dice)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step_idx}")
@@ -672,33 +661,26 @@ def _label_batch(label: Volume) -> np.ndarray:
 # verification
 # --------------------------------------------------------------------------
 
-def gradient_check(
-    pred: TinySegmenter,
-    image: Volume,
-    label: Volume,
-    n_coords: int = 120,
-    step: float = 1e-3,
-    seed: int = 0,
-    w_ce: float = 0.3,
-    w_dice: float = 0.7,
-) -> float:
+def gradient_check(pred: TinySegmenter, image: Volume, label: Volume, n_coords: int = 120, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Runs the whole network in float64 with dropout disabled and compares
-    the backpropagated gradient against (loss(th+h) - loss(th-h)) / 2h on
-    ``n_coords`` randomly chosen parameter coordinates.
+    Runs the whole network in float64 without dropout, on the training
+    loss, and compares the backpropagated gradient against
+    (loss(th+h) - loss(th-h)) / 2h, h = 1e-3, on ``n_coords`` randomly
+    chosen parameter coordinates.
     """
+    step = 1e-3
     params64 = {k: v.astype(np.float64) for k, v in pred.params.items()}
     x = pred._stack_slices(image, dtype=np.float64)
     y = _label_batch(label)
 
     logits, cache = pred._forward_slices(x, params64, 0.0, None, want_cache=True)
-    _, dlogits = _loss_and_grad_wrt_logits(logits, y, w_ce, w_dice)
+    _, dlogits = _loss_and_grad_wrt_logits(logits, y, TrainConfig.w_ce, TrainConfig.w_dice)
     analytic = pred._backward_slices(dlogits, params64, cache)
 
     def loss_at(p64: dict[str, np.ndarray]) -> float:
         lg, _ = pred._forward_slices(x, p64, 0.0, None, want_cache=False)
-        loss, _ = _loss_and_grad_wrt_logits(lg, y, w_ce, w_dice)
+        loss, _ = _loss_and_grad_wrt_logits(lg, y, TrainConfig.w_ce, TrainConfig.w_dice)
         return loss
 
     names = sorted(params64)

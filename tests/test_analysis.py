@@ -176,7 +176,7 @@ def test_matrix_orthogonal_patterns():
     b = np.zeros((4, 1, 1), dtype=np.float32)
     a[:, 0, 0] = [1.0, -1.0, 1.0, -1.0]
     b[:, 0, 0] = [1.0, 1.0, -1.0, -1.0]  # orthogonal after mean centering
-    matrix = correlation_matrix([make_volume(a), make_volume(b)], full_mask((4, 1, 1)))
+    matrix = correlation_matrix({1: make_volume(a), 2: make_volume(b)}, full_mask((4, 1, 1)))
     assert abs(matrix.values[0, 1]) <= 1e-6
     assert matrix.values[0, 0] == 1.0
 

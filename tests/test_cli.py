@@ -161,6 +161,19 @@ def test_phantom_failure_creates_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_analyze_mismatched_cases_exit_2_before_output(small_run, tmp_path, capsys):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for sid, cid in ((0, 1), (0, 2), (1, 1), (1, 7)):
+        for suffix in ("ent.vvol", "ent.vvol.json"):
+            name = f"sub-{sid}_case-{cid}_{suffix}"
+            (maps / name).write_bytes((small_run / "maps" / name).read_bytes())
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--maps", str(maps), "--out", str(out)]) == 2
+    assert "subject 1 has cases [1, 7], expected [1, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_without_maps_creates_no_output(tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--maps", str(tmp_path / "nomaps"), "--out", str(out)]) == 1
@@ -187,6 +200,18 @@ def test_run_accepts_images_without_labels(small_run, tmp_path):
         (subjects / name).write_bytes((small_run / "ph" / name).read_bytes())
     assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(subjects),
                  "--out", str(tmp_path / "maps"), "--samples", "4", "--seed", "5", "--cases", "1"]) == 0
+
+
+def test_run_ignores_labels(small_run, tmp_path):
+    subjects = tmp_path / "corrupt_label"
+    subjects.mkdir()
+    for p in (small_run / "ph").iterdir():
+        (subjects / p.name).write_bytes(p.read_bytes())
+    (subjects / "sub-0_lab.vvol").write_bytes(b"not a volume")
+    out = tmp_path / "maps"
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(subjects),
+                 "--out", str(out), "--samples", "4", "--seed", "5", "--cases", "1,2,7"]) == 0
+    assert tree_digest(out) == tree_digest(small_run / "maps")
 
 
 def test_run_binarize_flag(small_run, tmp_path):
@@ -375,18 +400,28 @@ def test_run_writes_maps_per_job_and_manifest_last(small_run, tmp_path, monkeypa
     assert not (out / "run_manifest.json").exists()
 
 
-@pytest.mark.parametrize("overrides", [
-    {"phantom": 5},
-    {"run": {"samples": "x"}},
-    {"run": {"cases": "1-20"}},
-    {"train": {"epochs": 6, "holdout": 2}},
-], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort"])
-def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides):
+@pytest.mark.parametrize("overrides, named", [
+    ({"phantom": 5}, "int"),
+    ({"run": {"samples": "x"}}, "'x'"),
+    ({"run": {"cases": "1-20"}}, "got 15"),
+    ({"train": {"epochs": 6, "holdout": 2}}, "holdout 2"),
+    ({"runs": {"samples": 4}}, "'runs'"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radii": [1.5, 2.5]}}, "phantom.radii"),
+    ({"train": {"epoch": 6}}, "train.epoch"),
+    ({"run": {"sample": 2, "cases": "1,7"}}, "run.sample"),
+    ({"analyze": {"cases": "1,7"}}, "analyze.cases"),
+    ({"run": {"samples": 4, "cases": "1"}}, "'1'"),
+    ({"run": {"samples": 4, "cases": "1,1"}}, "'1,1'"),
+], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
+        "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
+        "one-case", "one-distinct-case"])
+def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "bad_cfg.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad_cfg.json" in err and named in err
     assert not (out / "phantoms").exists()
 
 

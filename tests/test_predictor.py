@@ -412,12 +412,6 @@ def test_training_divergence_detected(small_cohort):
 
 
 def test_train_config_validation():
-    with pytest.raises(PredictorError):
-        TrainConfig(w_ce=0.5, w_dice=0.6)
-    with pytest.raises(PredictorError):
-        TrainConfig(plateau_factor=1.5)
-    with pytest.raises(PredictorError):
-        TrainConfig(batch_slices=0)
     with pytest.raises(PredictorError, match="epochs"):
         TrainConfig(epochs=0)
     with pytest.raises(PredictorError):
