@@ -447,8 +447,8 @@ def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
                     cases=parse_case_selection(str(run["cases"])), binarize=bool(run["binarize"]))
     if run_args["samples"] < 2:
         raise ValueError(f"run samples must be >= 2, got {run_args['samples']}")
-    if len(set(run_args["cases"])) < 2:
-        raise ValueError(f"run cases {run['cases']!r} name fewer than 2 distinct cases; analyze needs >= 2")
+    if len(run_args["cases"]) < 2:
+        raise ValueError(f"run cases {run['cases']!r} name fewer than 2 cases; analyze needs >= 2")
     return phantom_args, train_args, run_args
 
 

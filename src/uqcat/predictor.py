@@ -48,6 +48,21 @@ still draws all its masks from its own generator in block order, so the
 outputs are bit-identical to recomputing the block.  Passes without
 dropout (test-time augmentation, training, validation) never repeat an
 image and bypass the memo.
+
+Inference runs the encoder-decoder over chunks of axial slices, so that
+each tap's conv product is read back from cache rather than from memory.
+A chunk holds as many slices as fit one (F, (H+2)*(W+2)) product at the
+widest filter count into ``_CHUNK_BYTES`` (at least one); for the default
+network in float32 that is 3 slices at 32x32, 1 at 64x64 and a whole
+16x16x8 stack.  A pass draws all its dropout masks before the first
+chunk, in block order, which is the stream the per-block draws took, and
+the first block's shared activation is computed over the same chunks and
+sliced per chunk.  Each 3x3 conv is one gemm per slice and
+the other layers are elementwise, so their bits do not depend on the
+chunking; the 1x1 head's einsum does depend on the batch size in float32,
+so the head runs once on the whole stack of chunk outputs.  Passes that
+keep backward state (training, :func:`gradient_check`) run their batch as
+one chunk.
 """
 
 from __future__ import annotations
@@ -66,6 +81,7 @@ from .volume import Volume
 _PROB_CLIP = 1e-7  # probability clamp for the cross-entropy log
 _DICE_EPS = 1.0
 _CHECKPOINT_MAGIC = b"UQPCKPT1"
+_CHUNK_BYTES = 256 * 1024  # one conv tap's product per slice chunk, sized to stay in L2
 
 
 class PredictorError(ValueError):
@@ -393,7 +409,9 @@ class TinySegmenter:
         memo = self._first_memo
         if memo is not None and memo[0] is v and memo[1] is w and memo[2] is b:
             return memo[3]
-        act = _softplus(_conv3(self._stack_slices(v), w, b))
+        x = self._stack_slices(v)
+        step = self._chunk_slices(x)
+        act = np.concatenate([_softplus(_conv3(x[s : s + step], w, b)) for s in range(0, len(x), step)])
         act.flags.writeable = False
         self._first_memo = (v, w, b, act)
         return act
@@ -414,14 +432,52 @@ class TinySegmenter:
         return x
 
     def _forward_slices(self, x, params, rate, rng, want_cache: bool, first=None):
-        """Logits (B, 1, H, W) for a slice batch; at rate 0 the cache holds backward state.
+        """Logits (B, 1, H, W) for a slice batch; with ``want_cache`` the cache holds backward state.
 
-        ``first``, when given, is the first block's activation for the
-        batch (:meth:`_first_activation`) and ``x`` is not read; that
-        block's dropout mask is still drawn here, in block order.
+        The encoder-decoder runs over chunks of slices and the head over the
+        whole batch (see the module docstring); with ``want_cache`` the batch
+        is one chunk.  ``first``, when given, is the first block's activation
+        for the batch (:meth:`_first_activation`) and ``x`` is not read.
+        Every dropout mask is drawn here before the chunks, in block order.
         """
-        n_blocks = self.config.n_blocks
+        src = x if first is None else first
+        scales = {}
+        if rate > 0.0:
+            scales = {
+                name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, src.dtype)[None, :, None, None]
+                for name in self._block_names()
+            }
         cache: list = []
+        n, _, hgt, wid = src.shape
+        step = n if want_cache else self._chunk_slices(src)
+        if step >= n:
+            top = self._encode_decode(x, first, params, scales, cache if want_cache else None)
+        else:
+            top = np.empty((n, self.config.base_filters, hgt, wid), dtype=src.dtype)
+            for s in range(0, n, step):
+                c = slice(s, s + step)
+                top[c] = self._encode_decode(
+                    None if x is None else x[c], None if first is None else first[c], params, scales, None
+                )
+        logits = _conv1(top, params["head.W"], params["head.b"])
+        if want_cache:
+            cache.append({"name": "head", "x": top})
+        return logits, cache
+
+    def _block_names(self) -> list[str]:
+        """Convolution blocks in forward order: encoders, bottleneck, decoders."""
+        enc = [f"enc{i}" for i in range(self.config.n_blocks - 1)]
+        return [*enc, "bot", *(f"dec{i}" for i in reversed(range(self.config.n_blocks - 1)))]
+
+    def _chunk_slices(self, src: np.ndarray) -> int:
+        """Slices per chunk: one tap's product at the widest filter count fits in ``_CHUNK_BYTES``."""
+        _, _, hgt, wid = src.shape
+        widest = self.config.base_filters * 2 ** (self.config.n_blocks - 1)
+        return max(1, _CHUNK_BYTES // (src.itemsize * (hgt + 2) * (wid + 2) * widest))
+
+    def _encode_decode(self, x, first, params, scales, cache):
+        """Top-level decoder output for a chunk of slices; ``scales`` holds each block's dropout multiplier."""
+        n_blocks = self.config.n_blocks
         skips: list = []
         h = x
 
@@ -430,11 +486,11 @@ class TinySegmenter:
             if act is None:
                 pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
                 act = _softplus(pre)
-            if want_cache:
+            if cache is not None:
                 cache.append({"name": name, "x": inp, "pre": pre})
-            if rate > 0.0:
+            if scales:
                 # a new array: ``act`` may be the shared one
-                return act * channel_dropout_scale(act.shape[1], rate, rng, act.dtype)[None, :, None, None]
+                return act * scales[name]
             return act
 
         for i in range(n_blocks - 1):
@@ -449,10 +505,7 @@ class TinySegmenter:
             _upsample2(h, out=cat[:, :deep])
             cat[:, deep:] = skip
             h = block(f"dec{i}", cat)
-        logits = _conv1(h, params["head.W"], params["head.b"])
-        if want_cache:
-            cache.append({"name": "head", "x": h})
-        return logits, cache
+        return h
 
     def _backward_slices(self, dlogits, params, cache):
         """Gradients for every parameter given d(loss)/d(logits)."""

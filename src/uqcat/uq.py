@@ -76,7 +76,7 @@ def get_case(case_id: int) -> CaseSpec:
 
 
 def parse_case_selection(text: str) -> list[int]:
-    """Parse selections like '1-14', '1,3,7' or '1-6,10'."""
+    """Parse selections like '1-14', '1,3,7' or '1-6,10'; each id may appear once."""
     ids: list[int] = []
     try:
         for part in text.split(","):
@@ -95,6 +95,9 @@ def parse_case_selection(text: str) -> list[int]:
         raise CaseError(f"no case ids in {text!r}")
     for i in ids:
         get_case(i)
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise CaseError(f"case selection {text!r} repeats case id(s) {', '.join(map(str, repeated))}")
     return ids
 
 

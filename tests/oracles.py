@@ -5,10 +5,11 @@ library: plain Python loops, explicit formulas, O(n^2) transforms.  Tests
 compare the vectorized implementations against these.  Two exceptions:
 :func:`invert_affine`, a baseline rather than an oracle, which takes and
 returns the library's parameter container; and the ``einsum_conv*``
-functions and the numpy layer bodies after them (padding, pooling,
-upsampling, softplus), the formulation of the segmenter the committed
-golden digests were made with, which the library must reproduce bit for
-bit.
+functions, the numpy layer bodies after them (padding, pooling,
+upsampling, softplus) and :func:`whole_stack_forward`, which runs the
+library's layers over the whole slice stack: the formulation of the
+segmenter the committed golden digests were made with, which the library
+must reproduce bit for bit.
 """
 
 import math
@@ -392,3 +393,48 @@ def upsample2_backward(dout):
 
 def softplus(x):
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
+# --------------------------------------------------------------------------
+# segmenter forward
+# --------------------------------------------------------------------------
+
+def whole_stack_forward(model, x, params, rate, rng, want_cache, first=None):
+    """``TinySegmenter._forward_slices`` with every layer over the whole slice stack.
+
+    Each block draws its dropout mask right after its activation, and
+    ``first``, when given, replaces the first block's activation.
+    """
+    from uqcat import predictor
+
+    n_blocks = model.config.n_blocks
+    cache: list = []
+    skips: list = []
+    h = x
+
+    def block(name, inp, act=None):
+        pre = None
+        if act is None:
+            pre = predictor._conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
+            act = predictor._softplus(pre)
+        if want_cache:
+            cache.append({"name": name, "x": inp, "pre": pre})
+        if rate > 0.0:
+            return act * predictor.channel_dropout_scale(act.shape[1], rate, rng, act.dtype)[None, :, None, None]
+        return act
+
+    for i in range(n_blocks - 1):
+        h = block(f"enc{i}", h, first if i == 0 else None)
+        skips.append(h)
+        h = predictor._avgpool2(h)
+    h = block("bot", h, first if n_blocks == 1 else None)
+    for i in reversed(range(n_blocks - 1)):
+        skip, deep = skips[i], h.shape[1]
+        cat = np.empty((skip.shape[0], deep + skip.shape[1], *skip.shape[2:]), dtype=skip.dtype)
+        predictor._upsample2(h, out=cat[:, :deep])
+        cat[:, deep:] = skip
+        h = block(f"dec{i}", cat)
+    logits = predictor._conv1(h, params["head.W"], params["head.b"])
+    if want_cache:
+        cache.append({"name": "head", "x": h})
+    return logits, cache

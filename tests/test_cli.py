@@ -128,7 +128,7 @@ def test_invalid_threads_env(small_run, tmp_path, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("cases", ["1-20", "0", "x"])
+@pytest.mark.parametrize("cases", ["1-20", "0", "x", "1,1", "1-3,2"])
 def test_run_bad_cases_exit_2_before_output(small_run, tmp_path, cases):
     out = tmp_path / "maps"
     assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
@@ -412,9 +412,10 @@ def test_run_writes_maps_per_job_and_manifest_last(small_run, tmp_path, monkeypa
     ({"analyze": {"cases": "1,7"}}, "analyze.cases"),
     ({"run": {"samples": 4, "cases": "1"}}, "'1'"),
     ({"run": {"samples": 4, "cases": "1,1"}}, "'1,1'"),
+    ({"run": {"samples": 4, "cases": "1,1,7"}}, "'1,1,7'"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
-        "one-case", "one-distinct-case"])
+        "one-case", "one-distinct-case", "repeated-case"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -125,6 +126,89 @@ def test_shared_first_block_under_thread_contention():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def chunk_test_model(side, nz, n_blocks, context, seed=0):
+    """Segmenter with nonzero biases and a noise image of ``side`` x ``side`` x ``nz``."""
+    rng = np.random.default_rng([side, nz, n_blocks, context, seed])
+    model = TinySegmenter(PredictorConfig(n_blocks=n_blocks, context_slices=context), seed=seed)
+    for name, p in model.params.items():
+        if name.endswith(".b"):
+            model.params[name] = rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
+    return model, Volume(rng.normal(size=(side, side, nz)))
+
+
+# each grid splits into several chunks at every depth; 17 slices leave a remainder chunk
+CHUNKED_GRIDS = {"32x32x16": (32, 16), "64x64x32": (64, 32), "32x32x17": (32, 17)}
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.03, 0.4])
+@pytest.mark.parametrize("context", [0, 2])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+@pytest.mark.parametrize("grid", CHUNKED_GRIDS.values(), ids=CHUNKED_GRIDS.keys())
+def test_chunked_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, n_blocks, context, rate):
+    side, nz = grid
+    model, img = chunk_test_model(side, nz, n_blocks, context)
+    x = model._stack_slices(img)
+    assert 1 <= model._chunk_slices(x) < nz
+
+    def oracle_probs(seed):
+        logits, _ = oracles.whole_stack_forward(model, x, model.params, rate, np.random.default_rng(seed), False)
+        return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
+
+    # float32 through the public forward; at rate > 0 the first pass misses the memo, the second hits it
+    for seed in (3, 4) if rate else (3,):
+        got = model.forward(img, dropout_rate=rate, seed=seed).data
+        assert got.tobytes() == oracle_probs(seed).tobytes(), seed
+    # float64, as gradient_check runs it, with the smaller float64 chunks
+    params64 = {k: v.astype(np.float64) for k, v in model.params.items()}
+    x64 = model._stack_slices(img, dtype=np.float64)
+    assert model._chunk_slices(x64) < nz
+    got, _ = model._forward_slices(x64, params64, rate, np.random.default_rng(5), want_cache=False)
+    want, _ = oracles.whole_stack_forward(model, x64, params64, rate, np.random.default_rng(5), False)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_cached_forward_is_one_whole_stack_chunk(n_blocks, dtype):
+    # training and gradient_check keep backward state, so their batch runs as one chunk
+    model, img = chunk_test_model(32, 16, n_blocks, 2)
+    params = {k: v.astype(dtype) for k, v in model.params.items()}
+    x = model._stack_slices(img, dtype=dtype)
+    got, got_cache = model._forward_slices(x, params, 0.0, None, want_cache=True)
+    want, want_cache = oracles.whole_stack_forward(model, x, params, 0.0, None, True)
+    assert got.tobytes() == want.tobytes()
+    assert [e["name"] for e in got_cache] == [e["name"] for e in want_cache]
+    for g, e in zip(got_cache, want_cache):
+        for key in ("x", "pre"):
+            assert (g.get(key) is None) == (e.get(key) is None), (g["name"], key)
+            if g.get(key) is not None:
+                assert g[key].tobytes() == e[key].tobytes(), (g["name"], key)
+
+
+def test_chunk_size_follows_the_input():
+    model = TinySegmenter()  # widest filter count 16
+    for (side, nz), step in {(16, 8): 12, (32, 16): 3, (64, 32): 1}.items():
+        x = model._stack_slices(Volume(np.zeros((side, side, nz))))
+        assert model._chunk_slices(x) == step
+    assert model._chunk_slices(np.zeros((16, 5, 32, 32))) == 1  # float64 halves the slices per chunk
+
+
+@pytest.mark.parametrize("rate, memo", [(0.0, "none"), (0.03, "hit"), (0.03, "miss")])
+def test_inference_forward_memory_is_bounded(rate, memo):
+    # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB
+    model, img = chunk_test_model(64, 32, 2, 2)
+    model.forward(img, dropout_rate=rate, seed=0)
+    if memo == "miss":
+        model._first_memo = None
+    tracemalloc.start()
+    try:
+        model.forward(img, dropout_rate=rate, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_forward_dims_validation():

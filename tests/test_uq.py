@@ -70,6 +70,12 @@ def test_parse_case_selection():
         parse_case_selection("")
 
 
+@pytest.mark.parametrize("text, repeated", [("1,1", "1"), ("1-3,2", "2"), ("7,1-7,1", "1, 7")])
+def test_parse_case_selection_rejects_repeated_ids(text, repeated):
+    with pytest.raises(CaseError, match=f"'{text}' repeats case id\\(s\\) {repeated}$"):
+        parse_case_selection(text)
+
+
 # --------------------------------------------------------------------------
 # run_case
 # --------------------------------------------------------------------------
