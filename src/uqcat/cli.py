@@ -23,7 +23,9 @@ writes each job's maps as soon as the job finishes and ``run_manifest.json``
 last, so a maps directory without that manifest is an incomplete run.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Pipeline
-config errors exit 2 before any stage runs.
+config errors exit 2 before any stage runs.  A runtime failure prints the
+error's type and message followed by its notes, which name the subject,
+case and pass when a run pass failed.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ class UsageError(Exception):
 # --------------------------------------------------------------------------
 # small helpers
 # --------------------------------------------------------------------------
+
+def _describe(exc: Exception) -> str:
+    """The message with the exception's notes (such as the failing job of a run) appended."""
+    notes = getattr(exc, "__notes__", ())
+    return f"{exc} ({'; '.join(notes)})" if notes else str(exc)
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -487,7 +495,7 @@ def cmd_pipeline(out: Path, config: Path | None = None, model: Path | None = Non
     except UsageError:
         raise
     except Exception as exc:
-        print(f"[pipeline] stage '{stage}' failed: {exc}", file=sys.stderr)
+        print(f"[pipeline] stage '{stage}' failed: {_describe(exc)}", file=sys.stderr)
         return 1
 
     names = [f"{sub}/{p.name}" for sub in ("phantoms", "maps", "analysis")
@@ -569,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {_describe(exc)}", file=sys.stderr)
         return 1
 
 

@@ -21,14 +21,37 @@ reduce-on-plateau schedule, and 4-slice batches without dropout.
 
 The 3x3 convolutions reach BLAS through ``np.matmul`` directly, one
 product per kernel tap: the forward pass multiplies each tap's (F, C)
-weights by the whole zero-padded image and adds the tap's shifted window
-of the product to the output, and the backward pass multiplies the taps'
-transposed weights by the output gradient (dx) and the shifted inputs by
-that gradient (dw).  Every product computes the same float32 dot products
-in the same order as the einsum formulation the committed golden digests
-were made with (``tests/oracles.py``), so the outputs are bit-identical to
-it; the dw product keeps einsum's operand order, and the 1x1 head's
-forward pass stays an einsum.
+weights by the whole zero-padded image, and the backward pass multiplies
+the taps' transposed weights by the output gradient (dx) and the shifted
+inputs by that gradient (dw).  Every product computes the same float32
+dot products in the same order as the einsum formulation the committed
+golden digests were made with (``tests/oracles.py``), so on the BLAS
+kernel they were made with the outputs are bit-identical to it; the dw
+product keeps einsum's operand order, and the 1x1 head's forward pass
+stays an einsum.
+
+The forward pass streams through memory once.  Each tap's product goes
+into one reused (B, F, (H+2)*(W+2)) buffer and is added to an accumulator
+of the same padded shape, filled with the bias, as one contiguous 1-D
+slice over the whole batch shifted by the tap's offset
+``off = di*(W+2) + dj``: ``acc.ravel()[:n-off] += prod.ravel()[off:]``.
+Output pixel (i, j) sits at flat index i*(W+2) + j of its plane, so the
+shifted read lands on flat index (i+di)*(W+2) + (j+dj), the element of the
+padded product that the tap's (di, dj) window reads for that pixel, in the
+same plane (the largest such index is (H+2)*(W+2) - 1).  The top-left
+(H, W) window of each plane is therefore the result, summed bias first and
+then taps (0,0) to (2,2), the add order of the window form, so the bits
+are the window form's.  The other positions, the last two rows and
+columns of each plane, are scratch: they may mix in the next plane and are
+never read.  Only the whole-batch add is fast.  Slicing it per plane
+(``acc[:, :, :n]``) was slower than the strided window adds it replaces,
+which numpy runs as thousands of W-float rows.  The backward pass
+computes dx one slice at a time, the per-slice gemm that numpy's batched
+matmul makes, into one reused (C, H*W) buffer added to that slice's padded
+dx, so the slice's dx stays in cache across its nine taps.  The tests
+hold both kernels bit for bit to the window-add forms they replace
+(``tests/oracles.py``), on any BLAS kernel, since both make the same
+BLAS calls.
 
 The layers around the convolutions copy as little as they can, and each
 keeps the bits of the numpy idiom it replaced (also in ``tests/oracles.py``).
@@ -60,14 +83,16 @@ the first block's shared activation is computed over the same chunks and
 sliced per chunk.  Each 3x3 conv is one gemm per slice and
 the other layers are elementwise, so their bits do not depend on the
 chunking; the 1x1 head's einsum does depend on the batch size in float32,
-so the head runs once on the whole stack of chunk outputs.  Passes that
-keep backward state (training, :func:`gradient_check`) run their batch as
-one chunk.
+so the head runs once on the whole stack of chunk outputs; the last
+decoder block writes its softplus, or its dropout product, straight into
+that stack.  Passes that keep backward state (training,
+:func:`gradient_check`) run their batch as one chunk.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Protocol
@@ -227,18 +252,25 @@ def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 'same' convolution, zero padded; x is (B, C, H, W), w is (F, C, 3, 3).
 
     Each tap is one batched (F, C) @ (C, (H+2)*(W+2)) product over the
-    whole padded image; the tap's shifted window of that product is added
-    to the output.
+    whole padded image, written into one reused buffer and added to a
+    padded-shape accumulator as one 1-D slice shifted by the tap's offset;
+    the result is the top-left (H, W) window of each accumulator plane
+    (see the module docstring).
     """
     bsz, c, h, wd = x.shape
     f = w.shape[0]
     xp = _pad1(x).reshape(bsz, c, -1)
-    out = np.empty((bsz, f, h, wd), dtype=x.dtype)
-    out[:] = b[None, :, None, None]
+    acc = np.empty((bsz, f, xp.shape[2]), dtype=x.dtype)
+    acc[:] = b[None, :, None]
+    prod = np.empty_like(acc)
+    flat_acc, flat_prod = acc.reshape(-1), prod.reshape(-1)
+    n = flat_acc.size
     for di in range(3):
         for dj in range(3):
-            out += (w[:, :, di, dj] @ xp).reshape(bsz, f, h + 2, wd + 2)[:, :, di : di + h, dj : dj + wd]
-    return out
+            np.matmul(w[:, :, di, dj], xp, out=prod)
+            off = di * (wd + 2) + dj
+            flat_acc[: n - off] += flat_prod[off:]
+    return acc.reshape(bsz, f, h + 2, wd + 2)[:, :, :h, :wd]
 
 
 def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -246,18 +278,27 @@ def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
 
     dw multiplies (C, B*H*W) by (B*H*W, F) and transposes the result: this
     operand order fixes the float32 summation order of the long B*H*W sum.
+    dx runs one slice at a time, the per-slice gemm that a batched matmul
+    makes, into one reused (C, H*W) buffer, so a slice's padded dx stays
+    in cache while its nine taps are added.
     """
     bsz, c, h, wd = x.shape
     f = w.shape[0]
     xt = _pad1(x.transpose(1, 0, 2, 3))  # (C, B, H+2, W+2)
-    d3 = dout.reshape(bsz, f, h * wd)
     dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)
-    dxp = np.zeros((bsz, c, h + 2, wd + 2), dtype=x.dtype)
     dw = np.empty_like(w)
     for di in range(3):
         for dj in range(3):
             dw[:, :, di, dj] = (xt[:, :, di : di + h, dj : dj + wd].reshape(c, -1) @ dmat).T
-            dxp[:, :, di : di + h, dj : dj + wd] += (w[:, :, di, dj].T @ d3).reshape(bsz, c, h, wd)
+    d3 = dout.reshape(bsz, f, h * wd)
+    dxp = np.zeros((bsz, c, h + 2, wd + 2), dtype=x.dtype)
+    prod = np.empty((c, h * wd), dtype=x.dtype)
+    window = prod.reshape(c, h, wd)
+    for k in range(bsz):
+        for di in range(3):
+            for dj in range(3):
+                np.matmul(w[:, :, di, dj].T, d3[k], out=prod)
+                dxp[k, :, di : di + h, dj : dj + wd] += window
     return dxp[:, :, 1:-1, 1:-1], dw, dout.sum(axis=(0, 2, 3))
 
 
@@ -329,13 +370,16 @@ def channel_dropout_scale(n_channels: int, rate: float, rng: np.random.Generator
     return (keep / (1.0 - rate)).astype(dtype)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|)).  ``x`` is not written."""
+def _softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(x)), overflow-safe: max(x, 0) + log1p(exp(-|x|)), written into ``out`` when one is given.
+
+    ``x`` is not written.
+    """
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    out = np.maximum(x, 0)
+    out = np.maximum(x, 0, out=out)
     out += t
     return out
 
@@ -344,16 +388,13 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 # the segmenter
 # --------------------------------------------------------------------------
 
-def _init_params(config: PredictorConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
-    params: dict[str, np.ndarray] = {}
+def _param_shapes(config: PredictorConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in the order :func:`_init_params` draws them (4 per block)."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def add_conv(name: str, c_in: int, c_out: int, ksize: int) -> None:
-        fan_in = c_in * ksize * ksize
-        fan_out = c_out * ksize * ksize
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        params[f"{name}.W"] = rng.uniform(-bound, bound, size=(c_out, c_in, ksize, ksize)).astype(dtype)
-        params[f"{name}.b"] = np.zeros(c_out, dtype=dtype)
+        shapes[f"{name}.W"] = (c_out, c_in, ksize, ksize)
+        shapes[f"{name}.b"] = (c_out,)
 
     filters = [config.base_filters * 2**i for i in range(config.n_blocks)]
     c_in = config.in_channels
@@ -365,6 +406,19 @@ def _init_params(config: PredictorConfig, rng: np.random.Generator, dtype=np.flo
         deeper = filters[i + 1]
         add_conv(f"dec{i}", deeper + filters[i], filters[i], 3)
     add_conv("head", filters[0], 1, 1)
+    return shapes
+
+
+def _init_params(config: PredictorConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
+    """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(config).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dtype)
+            continue
+        c_out, c_in, ksize, _ = shape
+        bound = np.sqrt(6.0 / (c_in * ksize * ksize + c_out * ksize * ksize))
+        params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return params
 
 
@@ -456,8 +510,8 @@ class TinySegmenter:
             top = np.empty((n, self.config.base_filters, hgt, wid), dtype=src.dtype)
             for s in range(0, n, step):
                 c = slice(s, s + step)
-                top[c] = self._encode_decode(
-                    None if x is None else x[c], None if first is None else first[c], params, scales, None
+                self._encode_decode(
+                    None if x is None else x[c], None if first is None else first[c], params, scales, None, top[c]
                 )
         logits = _conv1(top, params["head.W"], params["head.b"])
         if want_cache:
@@ -475,22 +529,28 @@ class TinySegmenter:
         widest = self.config.base_filters * 2 ** (self.config.n_blocks - 1)
         return max(1, _CHUNK_BYTES // (src.itemsize * (hgt + 2) * (wid + 2) * widest))
 
-    def _encode_decode(self, x, first, params, scales, cache):
-        """Top-level decoder output for a chunk of slices; ``scales`` holds each block's dropout multiplier."""
+    def _encode_decode(self, x, first, params, scales, cache, out=None):
+        """Top-level decoder output for a chunk of slices, written into ``out`` when one is given.
+
+        ``scales`` holds each block's dropout multiplier; ``first`` (the
+        shared first activation) comes only with dropout.
+        """
         n_blocks = self.config.n_blocks
+        last = self._block_names()[-1]
         skips: list = []
         h = x
 
         def block(name: str, inp: np.ndarray | None, act: np.ndarray | None = None) -> np.ndarray:
             pre = None
+            dst = out if name == last else None
             if act is None:
                 pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
-                act = _softplus(pre)
+                act = _softplus(pre, None if scales else dst)
             if cache is not None:
                 cache.append({"name": name, "x": inp, "pre": pre})
             if scales:
-                # a new array: ``act`` may be the shared one
-                return act * scales[name]
+                # a new array or ``out``: ``act`` may be the shared one
+                return np.multiply(act, scales[name], out=dst)
             return act
 
         for i in range(n_blocks - 1):
@@ -573,17 +633,22 @@ class TinySegmenter:
             header = json.loads(blob[12:offset].decode("utf-8"))
             if header.get("format_version") != 1:
                 raise PredictorError(f"unsupported checkpoint version {header.get('format_version')}")
-            model = cls(PredictorConfig(**header["config"]), seed=header.get("seed", 0))
+            config = PredictorConfig(**header["config"])
+            seed = int(header.get("seed", 0))
             entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+            # nothing is allocated from the config until the manifest and the payload size match it;
+            # the count goes first, so the header's own length bounds the shapes derived from it
+            expected = sorted(_param_shapes(config).items()) if len(entries) == 4 * config.n_blocks else None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PredictorError(f"bad checkpoint header in {path.name}: {exc}") from exc
-        if entries != [(name, model.params[name].shape) for name in sorted(model.params)]:
+        if entries != expected:
             raise PredictorError(f"checkpoint shape manifest mismatch in {path.name}")
-        size = offset + 4 * sum(p.size for p in model.params.values())
+        size = offset + 4 * sum(math.prod(shape) for _, shape in expected)
         if len(blob) != size:
             raise PredictorError(f"checkpoint {path.name} has {len(blob)} bytes, its header implies {size}")
-        for name, shape in entries:
-            arr = np.frombuffer(blob, dtype="<f4", count=model.params[name].size, offset=offset).reshape(shape)
+        model = cls(config, seed=seed)
+        for name, shape in expected:
+            arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset).reshape(shape)
             offset += 4 * arr.size
             model.params[name] = arr.copy()
         return model

@@ -155,29 +155,41 @@ def run_case(
     the image, predict deterministically, and map affine components back
     to the original grid.  ``binarize`` thresholds each sample at 0.5
     before stacking (off by default; summary statistics then describe
-    hard-vote distributions instead of soft probabilities).
+    hard-vote distributions instead of soft probabilities).  An exception
+    from a pass gets a note (``__notes__``, PEP 678) naming the subject,
+    case and pass.
     """
     if n_samples < 2:
         raise VolumeError(f"need at least 2 samples, got {n_samples}")
     samples = np.empty((n_samples,) + image.dims, dtype=np.float32)
     records: list[dict] = []
     for i in range(n_samples):
-        pass_seed = derive_seed(seed, "pass", case.id, i)
-        if case.kind == "ttd":
-            prob = pred.forward(image, dropout_rate=case.dropout_rate, seed=pass_seed)
-            records.append({"kind": "ttd", "dropout_rate": case.dropout_rate, "seed": pass_seed})
-        elif case.kind == "tta":
-            ts = augment.sample_transform(case, derive_rng(seed, "pass", case.id, i))
-            perturbed = augment.apply_transform(image, ts)
-            prob = pred.forward(perturbed, dropout_rate=0.0, seed=pass_seed)
-            if ts.affine is not None:
-                prob = augment.apply_affine_inverse(prob, ts.affine)
-            records.append({"kind": "tta", **asdict(ts)})
-        else:
-            raise CaseError(f"unknown case kind {case.kind!r}")
+        try:
+            prob, record = _one_pass(pred, image, case, seed, i)
+        except Exception as exc:
+            # what add_note does; Python 3.10 has no add_note
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"subject {subject_id}, case {case.id}, pass {i}"]
+            raise
+        records.append(record)
         arr = np.clip(prob.data, 0.0, 1.0)
         samples[i] = (arr > 0.5).astype(np.float32) if binarize else arr
     return SampleStack(case.id, subject_id, samples, image.spacing, tuple(records))
+
+
+def _one_pass(pred: Predictor, image: Volume, case: CaseSpec, seed: int, i: int) -> tuple[Volume, dict]:
+    """Prediction of pass ``i`` on the original grid, and its record."""
+    pass_seed = derive_seed(seed, "pass", case.id, i)
+    if case.kind == "ttd":
+        prob = pred.forward(image, dropout_rate=case.dropout_rate, seed=pass_seed)
+        return prob, {"kind": "ttd", "dropout_rate": case.dropout_rate, "seed": pass_seed}
+    if case.kind == "tta":
+        ts = augment.sample_transform(case, derive_rng(seed, "pass", case.id, i))
+        perturbed = augment.apply_transform(image, ts)
+        prob = pred.forward(perturbed, dropout_rate=0.0, seed=pass_seed)
+        if ts.affine is not None:
+            prob = augment.apply_affine_inverse(prob, ts.affine)
+        return prob, {"kind": "tta", **asdict(ts)}
+    raise CaseError(f"unknown case kind {case.kind!r}")
 
 
 def uncertainty_maps(stack: SampleStack) -> UncertaintyMaps:

@@ -199,9 +199,9 @@ def _read_nifti(path: Path) -> Volume:
     if any(not np.isfinite(s) or s <= 0 for s in spacing):
         raise VolumeFormatError(f"malformed NIfTI header in {path.name}: nonpositive pixdim {spacing}")
 
-    offset = int(vox_offset)
-    if offset < _NIFTI_HDR_SIZE:
+    if not (np.isfinite(vox_offset) and vox_offset >= _NIFTI_HDR_SIZE):
         raise VolumeFormatError(f"malformed NIfTI header in {path.name}: vox_offset {vox_offset}")
+    offset = int(vox_offset)
     n_expected = dims[0] * dims[1] * dims[2]
     payload = blob[offset : offset + n_expected * np_dtype.itemsize]
     if len(payload) < n_expected * np_dtype.itemsize:

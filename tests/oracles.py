@@ -2,14 +2,18 @@
 
 Everything here is deliberately brute force and shares no code with the
 library: plain Python loops, explicit formulas, O(n^2) transforms.  Tests
-compare the vectorized implementations against these.  Two exceptions:
+compare the vectorized implementations against these.  Three exceptions:
 :func:`invert_affine`, a baseline rather than an oracle, which takes and
-returns the library's parameter container; and the ``einsum_conv*``
+returns the library's parameter container; the ``einsum_conv*``
 functions, the numpy layer bodies after them (padding, pooling,
 upsampling, softplus) and :func:`whole_stack_forward`, which runs the
 library's layers over the whole slice stack: the formulation of the
 segmenter the committed golden digests were made with, which the library
-must reproduce bit for bit.
+must reproduce bit for bit; and the ``window_conv3*`` functions, the
+BLAS-direct 3x3 kernels that add each tap's product window by window.
+They make the same BLAS calls as the library's kernels on any BLAS core,
+so the library must match them bit for bit on every core, including
+those where the einsum bodies sum in another order.
 """
 
 import math
@@ -355,6 +359,39 @@ def einsum_conv3_backward(dout, x, w):
                 "fc,bfhw->bchw", w[:, :, di, dj], dout, optimize=True
             )
     return dxp[:, :, 1:-1, 1:-1], dw, db
+
+
+def window_conv3(x, w, b):
+    """BLAS-direct forward that adds each tap's shifted window of the padded product."""
+    from uqcat import predictor
+
+    bsz, c, h, wd = x.shape
+    f = w.shape[0]
+    xp = predictor._pad1(x).reshape(bsz, c, -1)
+    out = np.empty((bsz, f, h, wd), dtype=x.dtype)
+    out[:] = b[None, :, None, None]
+    for di in range(3):
+        for dj in range(3):
+            out += (w[:, :, di, dj] @ xp).reshape(bsz, f, h + 2, wd + 2)[:, :, di : di + h, dj : dj + wd]
+    return out
+
+
+def window_conv3_backward(dout, x, w):
+    """BLAS-direct backward with batched dx products added window by window."""
+    from uqcat import predictor
+
+    bsz, c, h, wd = x.shape
+    f = w.shape[0]
+    xt = predictor._pad1(x.transpose(1, 0, 2, 3))
+    d3 = dout.reshape(bsz, f, h * wd)
+    dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)
+    dxp = np.zeros((bsz, c, h + 2, wd + 2), dtype=x.dtype)
+    dw = np.empty_like(w)
+    for di in range(3):
+        for dj in range(3):
+            dw[:, :, di, dj] = (xt[:, :, di : di + h, dj : dj + wd].reshape(c, -1) @ dmat).T
+            dxp[:, :, di : di + h, dj : dj + wd] += (w[:, :, di, dj].T @ d3).reshape(bsz, c, h, wd)
+    return dxp[:, :, 1:-1, 1:-1], dw, dout.sum(axis=(0, 2, 3))
 
 
 def einsum_conv1(x, w, b):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uqcat import read_volume
+from uqcat import Volume, read_volume, write_volume
 from uqcat.cli import main
 
 
@@ -398,6 +398,22 @@ def test_run_writes_maps_per_job_and_manifest_last(small_run, tmp_path, monkeypa
         assert (out / name).read_bytes() == (small_run / "maps" / name).read_bytes()
     assert not list(out.glob("sub-1_*"))
     assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, monkeypatch, threads):
+    # subject 1 is 9x9 in plane, which two blocks cannot halve
+    monkeypatch.setenv("UQCAT_THREADS", threads)
+    subjects = tmp_path / "odd"
+    subjects.mkdir()
+    for suffix in ("img.vvol", "img.vvol.json"):
+        (subjects / f"sub-0_{suffix}").write_bytes((small_run / "ph" / f"sub-0_{suffix}").read_bytes())
+    write_volume(Volume(np.zeros((9, 9, 8), dtype=np.float32)), subjects / "sub-1_img.vvol")
+    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(subjects),
+                 "--out", str(tmp_path / "maps"), "--samples", "4", "--seed", "5", "--cases", "1,7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PredictorError: in-plane dims (9, 9) must be divisible by 2")
+    assert err.rstrip().endswith("(subject 1, case 1, pass 0)")
 
 
 @pytest.mark.parametrize("overrides, named", [

@@ -367,6 +367,57 @@ def test_layer_plumbing_reproduces_old_kernels_bit_for_bit(layer, grid, dtype):
                      "upsample2_backward of a channel slice")
 
 
+def assert_conv3_matches_window_kernels(x, w, b, dout):
+    assert_same_bits(predictor._conv3(x, w, b), oracles.window_conv3(x, w, b), "out")
+    got = predictor._conv3_backward(dout, x, w)
+    for name, g, e in zip(("dx", "dw", "db"), got, oracles.window_conv3_backward(dout, x, w)):
+        assert_same_bits(g, e, name)
+
+
+def conv3_operands(rng, bsz, c, f, h, wd, dtype):
+    """Plumbing-style input, a nonzero bias with a -0.0 and an output gradient with -0.0 entries."""
+    x = plumbing_input(rng, (bsz, c, h, wd), dtype)
+    w = rng.uniform(-0.5, 0.5, size=(f, c, 3, 3)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype)
+    b[0] = -0.0
+    dout = rng.normal(size=(bsz, f, h, wd))
+    dout[rng.random(dout.shape) < 0.05] = -0.0
+    return x, w, b, dout.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", ["chunk", "step"])
+@pytest.mark.parametrize("grid", [(16, 8), (32, 16), (64, 32)], ids=["16x16x8", "32x32x16", "64x64x32"])
+@pytest.mark.parametrize("layer", ["enc0", "bot", "dec0"])
+def test_conv3_reproduces_window_add_kernels_bit_for_bit(layer, grid, batch, dtype):
+    # the flat shifted-slice accumulation reads each output from the same product element, on every BLAS core
+    side, nz = grid
+    h = side // CONV_LAYERS[layer]
+    model = TinySegmenter()
+    f, c, _, _ = model.params[f"{layer}.W"].shape
+    if batch == "chunk":
+        bsz = min(nz, model._chunk_slices(np.empty((nz, model.config.in_channels, side, side), dtype)))
+    else:
+        bsz = TrainConfig.batch_slices
+    rng = np.random.default_rng([side, bsz, f, c])
+    x, w, b, dout = conv3_operands(rng, bsz, c, f, h, h, dtype)
+    assert_conv3_matches_window_kernels(x, w, b, dout)
+    # every other channel of a wider stack: not contiguous at any batch size
+    strided = plumbing_input(rng, (bsz, 2 * c, h, h), dtype)[:, 1::2]
+    assert not strided.flags.c_contiguous
+    assert_conv3_matches_window_kernels(strided, w, b, dout)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 5, 8, 2, 2), (4, 24, 8, 2, 6), (2, 8, 16, 6, 10), (1, 1, 1, 6, 10)],
+                         ids=["2x2", "2x6", "6x10", "one-channel"])
+def test_conv3_window_kernels_at_small_and_non_square_grids(shape, dtype):
+    rng = np.random.default_rng(list(shape))
+    x, w, b, dout = conv3_operands(rng, *shape, dtype)
+    assert_conv3_matches_window_kernels(x, w, b, dout)
+    assert_conv3_matches_window_kernels(x.transpose(0, 1, 3, 2), w, b, dout.transpose(0, 1, 3, 2))
+
+
 @pytest.mark.parametrize("shape", [(3, 4, 2, 2), (2, 3, 6, 2), (2, 3, 2, 6), (1, 1, 4, 4)])
 def test_block_sums_reproduce_reshape_at_small_widths(shape):
     # numpy sums a width-2 reshape in another order than wider ones
@@ -549,6 +600,17 @@ def _drop_last_param(blob: bytes) -> bytes:
     return blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + hlen : -4 * int(np.prod(last["shape"]))]
 
 
+def _oversized_config(blob: bytes) -> bytes:
+    """A header-only file whose config and manifest claim 256 base filters, about 3 million weights."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + hlen])
+    header["config"]["base_filters"] = 256
+    shapes = predictor._param_shapes(PredictorConfig(**header["config"]))
+    header["params"] = [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + len(head).to_bytes(4, "little") + head
+
+
 CHECKPOINT_CORRUPTIONS = {
     "truncated-payload": lambda blob: blob[:-100],
     "trailing-bytes": lambda blob: blob + bytes(4),
@@ -556,6 +618,7 @@ CHECKPOINT_CORRUPTIONS = {
     "oversized-header-length": lambda blob: blob[:8] + (2**31).to_bytes(4, "little") + blob[12:],
     "header-not-object": lambda blob: blob[:8] + (2).to_bytes(4, "little") + b"[]",
     "missing-parameter": _drop_last_param,
+    "oversized-config": _oversized_config,
 }
 
 
@@ -567,3 +630,18 @@ def test_checkpoint_rejects_corruption_naming_the_file(tmp_path, corrupt):
     bad.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(PredictorError, match="corrupt.uqp"):
         TinySegmenter.load(bad)
+
+
+def test_checkpoint_rejected_before_allocating_what_its_config_claims(tmp_path):
+    good = tmp_path / "good.uqp"
+    TinySegmenter(seed=1).save(good)
+    bad = tmp_path / "corrupt.uqp"
+    bad.write_bytes(_oversized_config(good.read_bytes()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PredictorError, match="corrupt.uqp"):
+            TinySegmenter.load(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

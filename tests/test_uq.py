@@ -128,6 +128,22 @@ def test_run_case_binarized_samples(trained_model, small_cohort):
     assert set(np.unique(stack.samples)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("case_id", [3, 12])
+def test_run_case_failure_notes_subject_case_and_pass(case_id):
+    class FailsOnThirdPass:
+        calls = 0
+
+        def forward(self, v, dropout_rate=0.0, seed=0):
+            self.calls += 1
+            if self.calls == 3:
+                raise RuntimeError("boom")
+            return Volume(np.full(v.dims, 0.5))
+
+    with pytest.raises(RuntimeError, match="boom") as info:
+        run_case(FailsOnThirdPass(), Volume(np.zeros((8, 8, 4))), get_case(case_id), n_samples=4, subject_id=5)
+    assert info.value.__notes__ == [f"subject 5, case {case_id}, pass 2"]
+
+
 def test_run_case_needs_two_samples(trained_model, small_cohort):
     with pytest.raises(VolumeError):
         run_case(trained_model, small_cohort[6][0], get_case(1), n_samples=1, seed=0)

@@ -179,6 +179,14 @@ def test_nifti_truncated_payload(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("vox_offset", [float("nan"), float("inf"), float("-inf")])
+def test_nifti_nonfinite_vox_offset_rejected(tmp_path, vox_offset):
+    path = tmp_path / "badoffset.nii"
+    path.write_bytes(_nifti_bytes(np.zeros((4, 4, 4), dtype=np.float32), vox_offset=vox_offset))
+    with pytest.raises(VolumeFormatError, match="badoffset.nii.*vox_offset"):
+        read_volume(path)
+
+
 def _scaled_int16_nifti(slope, inter):
     arr = np.arange(-6, 6, dtype=np.int16).reshape(3, 2, 2)
     blob = bytearray(_nifti_bytes(arr, datatype=4))
