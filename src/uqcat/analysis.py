@@ -22,6 +22,7 @@ import numpy as np
 from .volume import Mask, Volume, threshold_mask
 
 NONZERO_EPS = 1e-12  # "non-zero" guard against float round-off
+MEDIAN_IQR_BLOCK = 2**14  # voxels per quartile slab in voxelwise_median_iqr
 
 
 class AnalysisError(ValueError):
@@ -53,16 +54,29 @@ class CorrelationMatrix:
 
 
 def voxelwise_median_iqr(maps: list[Volume]) -> tuple[Volume, Volume]:
-    """Per-voxel median and Q3 - Q1 across the given same-grid maps."""
+    """Per-voxel median and Q3 - Q1 across the given same-grid maps.
+
+    The quartiles are taken over blocks of ``MEDIAN_IQR_BLOCK`` voxels, so
+    the float64 working set stays at K x block values whatever the grid.
+    """
     if len(maps) < 2:
         raise AnalysisError(f"need >= 2 maps, got {len(maps)}")
     dims = maps[0].dims
     for m in maps[1:]:
         if m.dims != dims:
             raise AnalysisError(f"dims mismatch: {m.dims} vs {dims}")
-    stack = np.stack([m.data for m in maps]).astype(np.float64)
-    q1, med, q3 = np.percentile(stack, [25.0, 50.0, 75.0], axis=0)
-    return Volume(med, maps[0].spacing), Volume(q3 - q1, maps[0].spacing)
+    flat = [m.data.reshape(-1) for m in maps]
+    median = np.empty(dims, dtype=np.float32)
+    iqr = np.empty(dims, dtype=np.float32)
+    med_flat, iqr_flat = median.reshape(-1), iqr.reshape(-1)
+    # one (K, block) float64 slab at a time: the quartiles of a voxel do not depend on its neighbours
+    for s in range(0, median.size, MEDIAN_IQR_BLOCK):
+        block = slice(s, s + MEDIAN_IQR_BLOCK)
+        slab = np.array([f[block] for f in flat], dtype=np.float64)
+        q1, med, q3 = np.percentile(slab, [25.0, 50.0, 75.0], axis=0)
+        med_flat[block] = med
+        iqr_flat[block] = q3 - q1
+    return Volume(median, maps[0].spacing), Volume(iqr, maps[0].spacing)
 
 
 def entropy_support_mask(median_entropy: Volume) -> Mask:

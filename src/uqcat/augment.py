@@ -183,15 +183,17 @@ def _forward_map(p: AffineParams, dims, spacing) -> tuple[np.ndarray, np.ndarray
 
 def _resample_at(v: Volume, matrix: np.ndarray, offset: np.ndarray) -> Volume:
     """Trilinear sample of ``v`` at mm points ``matrix @ y + offset`` per grid point y."""
-    spacing = np.array(v.spacing, dtype=np.float64)
-    idx = np.indices(v.dims, dtype=np.float64).reshape(3, -1)
-    mm = idx * spacing[:, None]
-    src_mm = matrix @ mm + offset[:, None]
-    src_idx = src_mm / spacing[:, None]
-    out = map_coordinates(
-        v.data.astype(np.float64), src_idx, order=1, mode="constant", cval=0.0
-    ).reshape(v.dims)
-    return Volume(out, v.spacing)
+    # built in place, so at most two (3, N) coordinate arrays are alive at once
+    spacing = np.array(v.spacing, dtype=np.float64)[:, None]
+    mm = np.indices(v.dims, dtype=np.float64).reshape(3, -1)
+    mm *= spacing
+    src = matrix @ mm
+    del mm
+    src += offset[:, None]
+    src /= spacing
+    # order-1 interpolation reads float32 samples as float64, so no float64 copy of the input is needed
+    out = map_coordinates(v.data, src, output=np.float64, order=1, mode="constant", cval=0.0)
+    return Volume(out.reshape(v.dims), v.spacing)
 
 
 def apply_affine(v: Volume, p: AffineParams) -> Volume:

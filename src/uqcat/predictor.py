@@ -93,6 +93,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Protocol
@@ -465,7 +466,9 @@ class TinySegmenter:
             return memo[3]
         x = self._stack_slices(v)
         step = self._chunk_slices(x)
-        act = np.concatenate([_softplus(_conv3(x[s : s + step], w, b)) for s in range(0, len(x), step)])
+        act = np.empty((len(x), w.shape[0], *x.shape[2:]), dtype=x.dtype)
+        for s in range(0, len(x), step):
+            _softplus(_conv3(x[s : s + step], w, b), out=act[s : s + step])
         act.flags.writeable = False
         self._first_memo = (v, w, b, act)
         return act
@@ -624,33 +627,41 @@ class TinySegmenter:
 
     @classmethod
     def load(cls, path: str | Path) -> "TinySegmenter":
+        """Read a :meth:`save` checkpoint; each parameter is read from the file straight into its array."""
         path = Path(path)
-        blob = path.read_bytes()
-        if blob[:8] != _CHECKPOINT_MAGIC:
-            raise PredictorError(f"not a segmenter checkpoint: {path.name}")
-        offset = 12 + int.from_bytes(blob[8:12], "little")
-        try:
-            header = json.loads(blob[12:offset].decode("utf-8"))
-            if header.get("format_version") != 1:
-                raise PredictorError(f"unsupported checkpoint version {header.get('format_version')}")
-            config = PredictorConfig(**header["config"])
-            seed = int(header.get("seed", 0))
-            entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-            # nothing is allocated from the config until the manifest and the payload size match it;
-            # the count goes first, so the header's own length bounds the shapes derived from it
-            expected = sorted(_param_shapes(config).items()) if len(entries) == 4 * config.n_blocks else None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise PredictorError(f"bad checkpoint header in {path.name}: {exc}") from exc
-        if entries != expected:
-            raise PredictorError(f"checkpoint shape manifest mismatch in {path.name}")
-        size = offset + 4 * sum(math.prod(shape) for _, shape in expected)
-        if len(blob) != size:
-            raise PredictorError(f"checkpoint {path.name} has {len(blob)} bytes, its header implies {size}")
-        model = cls(config, seed=seed)
-        for name, shape in expected:
-            arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset).reshape(shape)
-            offset += 4 * arr.size
-            model.params[name] = arr.copy()
+        with open(path, "rb") as f:
+            file_size = os.fstat(f.fileno()).st_size
+            if f.read(8) != _CHECKPOINT_MAGIC:
+                raise PredictorError(f"not a segmenter checkpoint: {path.name}")
+            header_len = int.from_bytes(f.read(4), "little")
+            offset = 12 + header_len
+            try:
+                if offset > file_size:  # read(n) allocates n bytes before it reads
+                    raise ValueError(f"header length {header_len} runs past the end of the file")
+                header = json.loads(f.read(header_len).decode("utf-8"))
+                if header.get("format_version") != 1:
+                    raise PredictorError(f"unsupported checkpoint version {header.get('format_version')}")
+                config = PredictorConfig(**header["config"])
+                seed = int(header.get("seed", 0))
+                entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+                # nothing is allocated from the config until the manifest and the payload size match it;
+                # the count goes first, so the header's own length bounds the shapes derived from it
+                expected = sorted(_param_shapes(config).items()) if len(entries) == 4 * config.n_blocks else None
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise PredictorError(f"bad checkpoint header in {path.name}: {exc}") from exc
+            if entries != expected:
+                raise PredictorError(f"checkpoint shape manifest mismatch in {path.name}")
+            size = offset + 4 * sum(math.prod(shape) for _, shape in expected)
+            if file_size != size:
+                raise PredictorError(f"checkpoint {path.name} has {file_size} bytes, its header implies {size}")
+            params = {}
+            for name, shape in expected:
+                params[name] = np.empty(shape, dtype="<f4")
+                if f.readinto(params[name]) != params[name].nbytes:
+                    raise PredictorError(f"checkpoint {path.name} ended inside parameter {name}")
+        # the payload sets every parameter, so the model is built without drawing an initialisation
+        model = cls.__new__(cls)
+        model.config, model.seed, model.params, model._first_memo = config, seed, params, None
         return model
 
 

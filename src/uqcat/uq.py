@@ -115,8 +115,8 @@ class SampleStack:
         arr = np.asarray(self.samples, dtype=np.float32)
         if arr.ndim != 4 or arr.shape[0] < 2:
             raise VolumeError(f"sample stack needs >= 2 samples of 3-D volumes, got shape {arr.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise VolumeError("sample probabilities must lie in [0, 1]")
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false for NaN too: min and max propagate it
+            raise VolumeError("sample probabilities must be finite and lie in [0, 1]")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)

@@ -13,14 +13,19 @@ must reproduce bit for bit; and the ``window_conv3*`` functions, the
 BLAS-direct 3x3 kernels that add each tap's product window by window.
 They make the same BLAS calls as the library's kernels on any BLAS core,
 so the library must match them bit for bit on every core, including
-those where the einsum bodies sum in another order.
+those where the einsum bodies sum in another order.  The same holds for
+:func:`resample_at` and :func:`whole_stack_median_iqr`, the library's
+earlier full-size bodies of affine resampling and of the voxelwise
+median/IQR, which the memory-bounded bodies must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from uqcat import AffineParams
+from scipy.ndimage import map_coordinates
+
+from uqcat import AffineParams, Volume
 
 
 def threshold_count(values, tau) -> int:
@@ -99,6 +104,19 @@ def affine_resample(arr, spacing, scale, rotation_deg, translation_mm) -> np.nda
                 xi, yj, zk = x_mm / spacing
                 out[i, j, k] = trilinear(arr, xi, yj, zk)
     return out
+
+
+def resample_at(v: Volume, matrix: np.ndarray, offset: np.ndarray) -> Volume:
+    """``augment._resample_at`` with every coordinate array and a float64 copy of the input alive."""
+    spacing = np.array(v.spacing, dtype=np.float64)
+    idx = np.indices(v.dims, dtype=np.float64).reshape(3, -1)
+    mm = idx * spacing[:, None]
+    src_mm = matrix @ mm + offset[:, None]
+    src_idx = src_mm / spacing[:, None]
+    out = map_coordinates(
+        v.data.astype(np.float64), src_idx, order=1, mode="constant", cval=0.0
+    ).reshape(v.dims)
+    return Volume(out, v.spacing)
 
 
 def invert_affine(p: AffineParams) -> AffineParams:
@@ -201,6 +219,13 @@ def quantile_linear(values, q) -> float:
         return float(s[lo])
     frac = pos - lo
     return float(s[lo] * (1 - frac) + s[hi] * frac)
+
+
+def whole_stack_median_iqr(maps) -> tuple[Volume, Volume]:
+    """``analysis.voxelwise_median_iqr`` over one float64 stack of every map."""
+    stack = np.stack([m.data for m in maps]).astype(np.float64)
+    q1, med, q3 = np.percentile(stack, [25.0, 50.0, 75.0], axis=0)
+    return Volume(med, maps[0].spacing), Volume(q3 - q1, maps[0].spacing)
 
 
 def entropy_bits(p: float) -> float:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from uqcat import analysis
 from uqcat import (
     AnalysisError,
     Mask,
@@ -78,6 +81,51 @@ def test_median_iqr_validation():
         voxelwise_median_iqr([v])
     with pytest.raises(AnalysisError):
         voxelwise_median_iqr([v, make_volume(np.zeros((3, 2, 2)))])
+
+
+BLOCK = analysis.MEDIAN_IQR_BLOCK
+MEDIAN_IQR_GRIDS = {
+    "one-block": (32, 32, BLOCK // (32 * 32)),
+    "two-blocks": (32, 32, 2 * BLOCK // (32 * 32)),
+    "one-voxel-last-block": (5, 29, 113),  # BLOCK + 1 voxels
+}
+
+
+def median_iqr_maps(k, dims, kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(dims))
+    if kind == "ties-and-zeros":
+        vals = rng.integers(0, 5, size=(k, n)) / 4.0  # five levels, so most voxels repeat values
+        vals[:, ::7] = 0.0  # zero in every map
+        vals[:, -1] = 0.0  # the last voxel, which may sit alone in its block
+    else:
+        vals = rng.random((k, n))
+    return [make_volume(v.reshape(dims)) for v in vals]
+
+
+@pytest.mark.parametrize("kind", ["random", "ties-and-zeros"])
+@pytest.mark.parametrize("grid", MEDIAN_IQR_GRIDS.values(), ids=MEDIAN_IQR_GRIDS)
+@pytest.mark.parametrize("k", [2, 3, 8, 14, 20])
+def test_blocked_median_iqr_oracle_bit_for_bit(k, grid, kind):
+    assert (int(np.prod(grid)) % BLOCK) in (0, 1)
+    maps = median_iqr_maps(k, grid, kind, seed=k)
+    median, iqr = voxelwise_median_iqr(maps)
+    want_median, want_iqr = oracles.whole_stack_median_iqr(maps)
+    assert median.data.tobytes() == want_median.data.tobytes()
+    assert iqr.data.tobytes() == want_iqr.data.tobytes()
+    assert median.spacing == want_median.spacing and iqr.spacing == want_iqr.spacing
+
+
+def test_median_iqr_memory_is_bounded():
+    # one float64 stack of all 14 maps and its partition copy peaked at 43 MB here
+    maps = median_iqr_maps(14, (64, 64, 32), "random", seed=0)
+    tracemalloc.start()
+    try:
+        voxelwise_median_iqr(maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
 import oracles
 from oracles import invert_affine
+from uqcat import augment
 from uqcat import (
     AffineParams,
     BiasFieldParams,
@@ -73,6 +76,42 @@ def test_affine_matches_scalar_oracle():
     out = apply_affine(v, p)
     expected = oracles.affine_resample(v.data, v.spacing, p.scale, p.rotation_deg, p.translation_mm)
     assert np.allclose(out.data, expected, atol=1e-5)
+
+
+RESAMPLE_PARAMS = {
+    "identity": AffineParams.identity(),
+    "affine-low": AffineParams((1.01, 0.985, 1.02), (4.0, -3.0, 2.5), (0.8, -1.1, 4.2)),
+    "affine-high": AffineParams((1.18, 0.83, 0.91), (-40.0, 27.0, 12.5), (-4.6, 2.3, -1.7)),
+}
+
+
+@pytest.mark.parametrize("name", RESAMPLE_PARAMS)
+@pytest.mark.parametrize("dims", [(16, 16, 8), (32, 32, 16), (64, 64, 32), (33, 17, 5)])
+def test_resample_oracle_bit_for_bit(dims, name):
+    p = RESAMPLE_PARAMS[name]
+    v = smooth_volume(dims, seed=sum(dims), spacing=(1.0, 1.0, 1.2))
+    a, b = augment._forward_map(p, v.dims, v.spacing)
+    a_inv = np.linalg.inv(a)
+    forward = augment._resample_at(v, a_inv, -a_inv @ b)
+    inverse = augment._resample_at(v, a, b)
+    assert forward.data.tobytes() == oracles.resample_at(v, a_inv, -a_inv @ b).data.tobytes()
+    assert inverse.data.tobytes() == oracles.resample_at(v, a, b).data.tobytes()
+    if not p.is_identity:
+        assert apply_affine(v, p).data.tobytes() == forward.data.tobytes()
+        assert apply_affine_inverse(v, p).data.tobytes() == inverse.data.tobytes()
+
+
+def test_apply_affine_memory_is_bounded():
+    # four (3, N) float64 coordinate arrays and a float64 copy of the input peaked at 14 MB here
+    v = smooth_volume((64, 64, 32), seed=4, spacing=(1.0, 1.0, 1.2))
+    p = RESAMPLE_PARAMS["affine-high"]
+    tracemalloc.start()
+    try:
+        apply_affine(v, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, peak
 
 
 def test_invert_affine_trivial_cases():

@@ -645,3 +645,24 @@ def test_checkpoint_rejected_before_allocating_what_its_config_claims(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def test_checkpoint_load_memory_is_bounded_by_the_payload(tmp_path, monkeypatch):
+    # reading the whole file, copying it out and drawing a discarded initialisation peaked at 3.2x the payload
+    model = TinySegmenter(PredictorConfig(base_filters=128), seed=2)
+    path = tmp_path / "wide.uqp"
+    model.save(path)
+    payload = sum(arr.nbytes for arr in model.params.values())
+    monkeypatch.setattr(predictor, "_init_params", None)  # loading must not draw an initialisation
+    tracemalloc.start()
+    try:
+        back = TinySegmenter.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * payload, (peak, payload)
+    assert (back.config, back.seed) == (model.config, model.seed)
+    assert sorted(back.params) == sorted(model.params)
+    for name, arr in model.params.items():
+        assert back.params[name].shape == arr.shape
+        assert back.params[name].tobytes() == arr.tobytes()

@@ -216,6 +216,11 @@ def test_stack_validation():
         make_stack(np.full((1, 2, 2, 2), 0.5))  # n < 2
     with pytest.raises(VolumeError):
         make_stack(np.full((3, 2, 2, 2), 1.5))  # out of [0, 1]
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.full((3, 2, 2, 2), 0.5)
+        samples[1, 0, 1, 0] = bad
+        with pytest.raises(VolumeError, match="finite"):
+            make_stack(samples)
     stack = make_stack(np.full((3, 2, 2, 2), 0.5))
     assert stack.n_samples == 3
     assert stack.dims == (2, 2, 2)
