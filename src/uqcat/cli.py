@@ -266,7 +266,7 @@ def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cas
 # analyze
 # --------------------------------------------------------------------------
 
-_ENT_RE = re.compile(r"^sub-(\d+)_case-(\d+)_ent\.vvol$")
+_ENT_RE = re.compile(r"^sub-(0|[1-9]\d*)_case-(0|[1-9]\d*)_ent\.vvol$")
 
 
 def _write_matrix_csv(path: Path, matrix: analysis.CorrelationMatrix) -> None:
@@ -437,22 +437,33 @@ def _merge_config(file_cfg: dict, model: Path | None, seed: int | None, samples:
     return cfg
 
 
+def _json_value(key: str, value, kind: type):
+    """``value`` when its JSON type is ``kind`` (int or bool): ``true`` is no integer, ``2.7`` or ``"1"`` neither."""
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be a JSON {'integer' if kind is int else 'boolean'}, got {value!r}")
+    return value
+
+
 def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
     """Typed phantom/train/run arguments, seeds included; ``cfg`` itself is left as written."""
-    seed, phantom, run = int(cfg["seed"]), cfg["phantom"], cfg["run"]
-    x, y, z = (int(d) for d in phantom["dims"])
+    seed, phantom, run = _json_value("seed", cfg["seed"], int), cfg["phantom"], cfg["run"]
+    x, y, z = (_json_value("phantom.dims", d, int) for d in phantom["dims"])
     lo, hi = (float(r) for r in phantom["radius"])
-    phantom_args = dict(subjects=int(phantom["subjects"]), seed=seed, dims=(x, y, z), lesions=int(phantom["lesions"]),
-                        radius=(lo, hi), noise=float(phantom["noise"]), satellite=bool(phantom["satellite"]))
+    phantom_args = dict(subjects=_json_value("phantom.subjects", phantom["subjects"], int), seed=seed, dims=(x, y, z),
+                        lesions=_json_value("phantom.lesions", phantom["lesions"], int), radius=(lo, hi),
+                        noise=float(phantom["noise"]),
+                        satellite=_json_value("phantom.satellite", phantom["satellite"], bool))
     train_args = None
     if "train" in cfg:
-        train_args = dict(epochs=int(cfg["train"]["epochs"]), seed=derive_seed(seed, "train-stage"),
-                          holdout=int(cfg["train"]["holdout"]))
+        train_args = dict(epochs=_json_value("train.epochs", cfg["train"]["epochs"], int),
+                          seed=derive_seed(seed, "train-stage"),
+                          holdout=_json_value("train.holdout", cfg["train"]["holdout"], int))
         if train_args["holdout"] >= phantom_args["subjects"]:
             raise ValueError(f"holdout {train_args['holdout']} leaves no training subjects")
         TrainConfig(epochs=train_args["epochs"])  # rejects epochs < 1
-    run_args = dict(samples=int(run["samples"]), seed=derive_seed(seed, "run-stage"),
-                    cases=parse_case_selection(str(run["cases"])), binarize=bool(run["binarize"]))
+    run_args = dict(samples=_json_value("run.samples", run["samples"], int), seed=derive_seed(seed, "run-stage"),
+                    cases=parse_case_selection(str(run["cases"])),
+                    binarize=_json_value("run.binarize", run["binarize"], bool))
     if run_args["samples"] < 2:
         raise ValueError(f"run samples must be >= 2, got {run_args['samples']}")
     if len(run_args["cases"]) < 2:

@@ -72,21 +72,21 @@ outputs are bit-identical to recomputing the block.  Passes without
 dropout (test-time augmentation, training, validation) never repeat an
 image and bypass the memo.
 
-Inference runs the encoder-decoder over chunks of axial slices, so that
-each tap's conv product is read back from cache rather than from memory.
-A chunk holds as many slices as fit one (F, (H+2)*(W+2)) product at the
-widest filter count into ``_CHUNK_BYTES`` (at least one); for the default
-network in float32 that is 3 slices at 32x32, 1 at 64x64 and a whole
-16x16x8 stack.  A pass draws all its dropout masks before the first
-chunk, in block order, which is the stream the per-block draws took, and
-the first block's shared activation is computed over the same chunks and
-sliced per chunk.  Each 3x3 conv is one gemm per slice and
-the other layers are elementwise, so their bits do not depend on the
-chunking; the 1x1 head's einsum does depend on the batch size in float32,
-so the head runs once on the whole stack of chunk outputs; the last
-decoder block writes its softplus, or its dropout product, straight into
-that stack.  Passes that keep backward state (training,
-:func:`gradient_check`) run their batch as one chunk.
+Every pass runs the encoder-decoder in one loop over chunks of axial
+slices, so that each tap's conv product is read back from cache rather
+than from memory.  A chunk holds as many slices as fit one
+(F, (H+2)*(W+2)) product at the widest filter count into ``_CHUNK_BYTES``
+(at least one); for the default network in float32 that is 3 slices at
+32x32, 1 at 64x64 and a whole 16x16x8 stack.  Passes that keep backward
+state (training, :func:`gradient_check`) run their batch as one chunk.
+A pass draws all its dropout masks before the first chunk, in block
+order, which is the stream the per-block draws took, and the first
+block's shared activation is computed over the same chunks and sliced per
+chunk.  Each 3x3 conv is one gemm per slice and the other layers are
+elementwise, so their bits do not depend on the chunking; the 1x1 head's
+einsum does depend on the batch size in float32, so the head runs once on
+a preallocated stack of the chunks' outputs, which the last decoder block
+writes its softplus, or its dropout product, straight into.
 """
 
 from __future__ import annotations
@@ -440,11 +440,10 @@ class TinySegmenter:
         if not (0.0 <= dropout_rate < 1.0):
             raise PredictorError(f"dropout rate must be in [0, 1), got {dropout_rate}")
         if dropout_rate > 0.0:
-            first = self._first_activation(v)
             rng = np.random.default_rng(seed)
-            logits, _ = self._forward_slices(None, self.params, dropout_rate, rng, want_cache=False, first=first)
+            logits = self._forward_slices(self._first_activation(v), self.params, dropout_rate, rng, shared_first=True)
         else:
-            logits, _ = self._forward_slices(self._stack_slices(v), self.params, 0.0, None, want_cache=False)
+            logits = self._forward_slices(self._stack_slices(v), self.params, 0.0, None)
         probs = expit(logits[:, 0].astype(np.float64))
         return Volume(np.moveaxis(probs, 0, 2), v.spacing)
 
@@ -459,7 +458,7 @@ class TinySegmenter:
         them, so a parameter change misses the memo.  One tuple is read and
         written whole, so concurrent passes see either entry, never a mix.
         """
-        name = "enc0" if self.config.n_blocks > 1 else "bot"
+        name = self._block_names()[0]
         w, b = self.params[f"{name}.W"], self.params[f"{name}.b"]
         memo = self._first_memo
         if memo is not None and memo[0] is v and memo[1] is w and memo[2] is b:
@@ -488,38 +487,32 @@ class TinySegmenter:
             x[:, c] = np.moveaxis(v.data[:, :, zidx], 2, 0)
         return x
 
-    def _forward_slices(self, x, params, rate, rng, want_cache: bool, first=None):
-        """Logits (B, 1, H, W) for a slice batch; with ``want_cache`` the cache holds backward state.
+    def _forward_slices(self, x, params, rate, rng, cache: list | None = None, shared_first: bool = False):
+        """Logits (B, 1, H, W) for a slice batch ``x``.
 
-        The encoder-decoder runs over chunks of slices and the head over the
-        whole batch (see the module docstring); with ``want_cache`` the batch
-        is one chunk.  ``first``, when given, is the first block's activation
-        for the batch (:meth:`_first_activation`) and ``x`` is not read.
-        Every dropout mask is drawn here before the chunks, in block order.
+        The encoder-decoder runs over chunks of slices into one preallocated
+        top-level stack and the head runs once over that stack (see the
+        module docstring).  A ``cache`` list, when given, receives the
+        backward state, and the batch is then one chunk.  With
+        ``shared_first``, ``x`` is the first block's activation
+        (:meth:`_first_activation`) rather than the slice stack.  Every
+        dropout mask is drawn here before the chunks, in block order.
         """
-        src = x if first is None else first
         scales = {}
         if rate > 0.0:
             scales = {
-                name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, src.dtype)[None, :, None, None]
+                name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, x.dtype)[None, :, None, None]
                 for name in self._block_names()
             }
-        cache: list = []
-        n, _, hgt, wid = src.shape
-        step = n if want_cache else self._chunk_slices(src)
-        if step >= n:
-            top = self._encode_decode(x, first, params, scales, cache if want_cache else None)
-        else:
-            top = np.empty((n, self.config.base_filters, hgt, wid), dtype=src.dtype)
-            for s in range(0, n, step):
-                c = slice(s, s + step)
-                self._encode_decode(
-                    None if x is None else x[c], None if first is None else first[c], params, scales, None, top[c]
-                )
+        n, _, hgt, wid = x.shape
+        step = n if cache is not None else self._chunk_slices(x)
+        top = np.empty((n, self.config.base_filters, hgt, wid), dtype=x.dtype)
+        for s in range(0, n, step):
+            self._encode_decode(x[s : s + step], shared_first, params, scales, cache, top[s : s + step])
         logits = _conv1(top, params["head.W"], params["head.b"])
-        if want_cache:
+        if cache is not None:
             cache.append({"name": "head", "x": top})
-        return logits, cache
+        return logits
 
     def _block_names(self) -> list[str]:
         """Convolution blocks in forward order: encoders, bottleneck, decoders."""
@@ -532,21 +525,23 @@ class TinySegmenter:
         widest = self.config.base_filters * 2 ** (self.config.n_blocks - 1)
         return max(1, _CHUNK_BYTES // (src.itemsize * (hgt + 2) * (wid + 2) * widest))
 
-    def _encode_decode(self, x, first, params, scales, cache, out=None):
-        """Top-level decoder output for a chunk of slices, written into ``out`` when one is given.
+    def _encode_decode(self, x, shared_first, params, scales, cache, out) -> None:
+        """Write the top-level decoder output for a chunk of slices into ``out``.
 
-        ``scales`` holds each block's dropout multiplier; ``first`` (the
-        shared first activation) comes only with dropout.
+        ``scales`` holds each block's dropout multiplier.  With
+        ``shared_first`` (dropout passes only), ``x`` is the first block's
+        activation rather than its input.
         """
-        n_blocks = self.config.n_blocks
-        last = self._block_names()[-1]
+        names = self._block_names()
         skips: list = []
         h = x
 
-        def block(name: str, inp: np.ndarray | None, act: np.ndarray | None = None) -> np.ndarray:
+        def block(name: str, inp: np.ndarray) -> np.ndarray:
             pre = None
-            dst = out if name == last else None
-            if act is None:
+            dst = out if name == names[-1] else None
+            if shared_first and name == names[0]:
+                act = inp
+            else:
                 pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
                 act = _softplus(pre, None if scales else dst)
             if cache is not None:
@@ -556,19 +551,18 @@ class TinySegmenter:
                 return np.multiply(act, scales[name], out=dst)
             return act
 
-        for i in range(n_blocks - 1):
-            h = block(f"enc{i}", h, first if i == 0 else None)
+        for i in range(self.config.n_blocks - 1):
+            h = block(f"enc{i}", h)
             skips.append(h)
             h = _avgpool2(h)
-        h = block("bot", h, first if n_blocks == 1 else None)
-        for i in reversed(range(n_blocks - 1)):
+        h = block("bot", h)
+        for i in reversed(range(self.config.n_blocks - 1)):
             # upsample straight into the concat buffer, then copy the skip after it
             skip, deep = skips[i], h.shape[1]
             cat = np.empty((skip.shape[0], deep + skip.shape[1], *skip.shape[2:]), dtype=skip.dtype)
             _upsample2(h, out=cat[:, :deep])
             cat[:, deep:] = skip
             h = block(f"dec{i}", cat)
-        return h
 
     def _backward_slices(self, dlogits, params, cache):
         """Gradients for every parameter given d(loss)/d(logits)."""
@@ -752,7 +746,11 @@ def train(
             for chunk in range(n_chunks):
                 x = x_all[chunk::n_chunks]
                 y = y_all[chunk::n_chunks]
-                logits, cache = pred._forward_slices(x, pred.params, 0.0, None, want_cache=True)
+                # the last step's cache is dropped only after this forward: dropped before it, its memory is
+                # trimmed off the heap and faulted back in (4x the minor faults of a 64x64x32 training run)
+                step_cache: list = []
+                logits = pred._forward_slices(x, pred.params, 0.0, None, step_cache)
+                cache = step_cache
                 loss, dlogits = _loss_and_grad_wrt_logits(logits, y, cfg.w_ce, cfg.w_dice)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step_idx}")
@@ -765,7 +763,7 @@ def train(
         if val_data is not None:
             val_losses = []
             for x, y in val_data:
-                logits, _ = pred._forward_slices(x, pred.params, 0.0, None, want_cache=False)
+                logits = pred._forward_slices(x, pred.params, 0.0, None)
                 loss, _ = _loss_and_grad_wrt_logits(logits, y, cfg.w_ce, cfg.w_dice)
                 val_losses.append(loss)
             monitored = float(np.mean(val_losses))
@@ -803,12 +801,13 @@ def gradient_check(pred: TinySegmenter, image: Volume, label: Volume, n_coords: 
     x = pred._stack_slices(image, dtype=np.float64)
     y = _label_batch(label)
 
-    logits, cache = pred._forward_slices(x, params64, 0.0, None, want_cache=True)
+    cache: list = []
+    logits = pred._forward_slices(x, params64, 0.0, None, cache)
     _, dlogits = _loss_and_grad_wrt_logits(logits, y, TrainConfig.w_ce, TrainConfig.w_dice)
     analytic = pred._backward_slices(dlogits, params64, cache)
 
     def loss_at(p64: dict[str, np.ndarray]) -> float:
-        lg, _ = pred._forward_slices(x, p64, 0.0, None, want_cache=False)
+        lg = pred._forward_slices(x, p64, 0.0, None)
         loss, _ = _loss_and_grad_wrt_logits(lg, y, TrainConfig.w_ce, TrainConfig.w_dice)
         return loss
 

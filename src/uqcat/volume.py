@@ -137,12 +137,16 @@ def _read_vvol(path: Path) -> Volume:
         raise VolumeFormatError(f"missing sidecar header {sidecar.name} for {path.name}")
     try:
         header = json.loads(sidecar.read_text())
-        dims = tuple(int(d) for d in header["dims"])
-        spacing = tuple(float(s) for s in header["spacing"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        dims, spacing = header["dims"], header["spacing"]
+        # JSON integers >= 1 and positive finite JSON numbers: true is no integer and 2.9 no dim
+        if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d >= 1 for d in dims)):
+            raise ValueError(f"bad dims {dims!r}")
+        if not (isinstance(spacing, list) and len(spacing) == 3
+                and all(type(s) in (int, float) and 0 < float(s) < np.inf for s in spacing)):
+            raise ValueError(f"bad spacing {spacing!r}")
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"malformed header {sidecar.name}: {exc}") from exc
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise VolumeFormatError(f"malformed header {sidecar.name}: bad dims {dims}")
+    dims = tuple(dims)
     payload = path.read_bytes()
     n_expected = dims[0] * dims[1] * dims[2]
     if len(payload) != 4 * n_expected:

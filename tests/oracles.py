@@ -461,11 +461,10 @@ def softplus(x):
 # segmenter forward
 # --------------------------------------------------------------------------
 
-def whole_stack_forward(model, x, params, rate, rng, want_cache, first=None):
+def whole_stack_forward(model, x, params, rate, rng, want_cache):
     """``TinySegmenter._forward_slices`` with every layer over the whole slice stack.
 
-    Each block draws its dropout mask right after its activation, and
-    ``first``, when given, replaces the first block's activation.
+    Each block draws its dropout mask right after its activation.
     """
     from uqcat import predictor
 
@@ -474,11 +473,9 @@ def whole_stack_forward(model, x, params, rate, rng, want_cache, first=None):
     skips: list = []
     h = x
 
-    def block(name, inp, act=None):
-        pre = None
-        if act is None:
-            pre = predictor._conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
-            act = predictor._softplus(pre)
+    def block(name, inp):
+        pre = predictor._conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
+        act = predictor._softplus(pre)
         if want_cache:
             cache.append({"name": name, "x": inp, "pre": pre})
         if rate > 0.0:
@@ -486,10 +483,10 @@ def whole_stack_forward(model, x, params, rate, rng, want_cache, first=None):
         return act
 
     for i in range(n_blocks - 1):
-        h = block(f"enc{i}", h, first if i == 0 else None)
+        h = block(f"enc{i}", h)
         skips.append(h)
         h = predictor._avgpool2(h)
-    h = block("bot", h, first if n_blocks == 1 else None)
+    h = block("bot", h)
     for i in reversed(range(n_blocks - 1)):
         skip, deep = skips[i], h.shape[1]
         cat = np.empty((skip.shape[0], deep + skip.shape[1], *skip.shape[2:]), dtype=skip.dtype)

@@ -174,6 +174,22 @@ def test_analyze_mismatched_cases_exit_2_before_output(small_run, tmp_path, caps
     assert not out.exists()
 
 
+def test_analyze_reads_only_canonical_ids(small_run, tmp_path):
+    # zero-padded ids name no subject or case; read as integers they would shadow sub-1 and case 7 and add a sub-2
+    clean, decoyed = tmp_path / "clean", tmp_path / "decoyed"
+    for maps in (clean, decoyed):
+        maps.mkdir()
+        for p in (small_run / "maps").glob("sub-*_case-*_ent.vvol*"):
+            (maps / p.name).write_bytes(p.read_bytes())
+    for decoy in ("sub-01_case-1", "sub-0_case-07", "sub-02_case-1", "sub-02_case-2", "sub-02_case-7"):
+        for suffix in ("ent.vvol", "ent.vvol.json"):
+            (decoyed / f"{decoy}_{suffix}").write_bytes((small_run / "maps" / f"sub-0_case-2_{suffix}").read_bytes())
+    for maps in (clean, decoyed):
+        assert main(["analyze", "--maps", str(maps), "--out", str(maps / "analysis")]) == 0
+    assert tree_digest(decoyed / "analysis") == tree_digest(clean / "analysis")
+    assert not list((decoyed / "analysis").glob("*sub-2*"))
+
+
 def test_analyze_without_maps_creates_no_output(tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--maps", str(tmp_path / "nomaps"), "--out", str(out)]) == 1
@@ -429,9 +445,24 @@ def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, mo
     ({"run": {"samples": 4, "cases": "1"}}, "'1'"),
     ({"run": {"samples": 4, "cases": "1,1"}}, "'1,1'"),
     ({"run": {"samples": 4, "cases": "1,1,7"}}, "'1,1,7'"),
+    ({"seed": True}, "seed must be a JSON integer"),
+    ({"seed": 21.0}, "seed must be a JSON integer"),
+    ({"phantom": {"subjects": True, "dims": [16, 16, 8], "radius": [1.5, 2.5]}}, "phantom.subjects"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16.0, 8], "radius": [1.5, 2.5]}}, "phantom.dims"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "lesions": 1.5}}, "phantom.lesions"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "satellite": "false"}},
+     "phantom.satellite"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "satellite": 0}}, "phantom.satellite"),
+    ({"train": {"epochs": 1.9}}, "train.epochs"),
+    ({"train": {"epochs": 6, "holdout": False}}, "train.holdout"),
+    ({"run": {"samples": 2.7, "cases": "1,7"}}, "run.samples"),
+    ({"run": {"samples": 4, "cases": "1,7", "binarize": "false"}}, "run.binarize"),
+    ({"run": {"samples": 4, "cases": "1,7", "binarize": 1}}, "run.binarize"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
-        "one-case", "one-distinct-case", "repeated-case"])
+        "one-case", "one-distinct-case", "repeated-case", "seed-bool", "seed-float", "subjects-bool", "dims-float",
+        "lesions-float", "satellite-string", "satellite-int", "epochs-float", "holdout-bool", "samples-float",
+        "binarize-string", "binarize-int"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))

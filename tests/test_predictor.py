@@ -58,7 +58,7 @@ def test_forward_seed_contract():
 def forward_from_scratch(model, img, rate, seed):
     """The dropout forward pass without the shared first block: fresh slice stack, conv and rng."""
     x = model._stack_slices(img)
-    logits, _ = model._forward_slices(x, model.params, rate, np.random.default_rng(seed), want_cache=False)
+    logits = model._forward_slices(x, model.params, rate, np.random.default_rng(seed))
     return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
 
 
@@ -164,9 +164,30 @@ def test_chunked_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, n_block
     params64 = {k: v.astype(np.float64) for k, v in model.params.items()}
     x64 = model._stack_slices(img, dtype=np.float64)
     assert model._chunk_slices(x64) < nz
-    got, _ = model._forward_slices(x64, params64, rate, np.random.default_rng(5), want_cache=False)
+    got = model._forward_slices(x64, params64, rate, np.random.default_rng(5))
     want, _ = oracles.whole_stack_forward(model, x64, params64, rate, np.random.default_rng(5), False)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.03, 0.4])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_one_chunk_forward_reproduces_whole_stack_oracle_bit_for_bit(n_blocks, rate):
+    # 6 slices at 16x16 fit one float32 chunk at every depth (three blocks take 6 per chunk)
+    model, img = chunk_test_model(16, 6, n_blocks, 2)
+    x = model._stack_slices(img)
+    assert model._chunk_slices(x) >= 6
+
+    def oracle_logits(seed):
+        logits, _ = oracles.whole_stack_forward(model, x, model.params, rate, np.random.default_rng(seed), False)
+        return logits
+
+    # through the public forward; at rate > 0 the first pass misses the memo, the second hits it
+    for seed in (3, 4) if rate else (3,):
+        want = np.moveaxis(expit(oracle_logits(seed)[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
+        assert model.forward(img, dropout_rate=rate, seed=seed).data.tobytes() == want.tobytes(), seed
+    # from the slice stack, without the shared first block
+    got = model._forward_slices(x, model.params, rate, np.random.default_rng(5))
+    assert got.tobytes() == oracle_logits(5).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -176,7 +197,8 @@ def test_cached_forward_is_one_whole_stack_chunk(n_blocks, dtype):
     model, img = chunk_test_model(32, 16, n_blocks, 2)
     params = {k: v.astype(dtype) for k, v in model.params.items()}
     x = model._stack_slices(img, dtype=dtype)
-    got, got_cache = model._forward_slices(x, params, 0.0, None, want_cache=True)
+    got_cache: list = []
+    got = model._forward_slices(x, params, 0.0, None, got_cache)
     want, want_cache = oracles.whole_stack_forward(model, x, params, 0.0, None, True)
     assert got.tobytes() == want.tobytes()
     assert [e["name"] for e in got_cache] == [e["name"] for e in want_cache]
@@ -497,7 +519,8 @@ def test_gradient_zero_weights_zero_input_first_layer():
 
     params64 = {k: v.astype(np.float64) for k, v in model.params.items()}
     x = model._stack_slices(img, dtype=np.float64)
-    logits, cache = model._forward_slices(x, params64, 0.0, None, want_cache=True)
+    cache: list = []
+    logits = model._forward_slices(x, params64, 0.0, None, cache)
     _, dlogits = _loss_and_grad_wrt_logits(logits, _label_batch(lab), 0.3, 0.7)
     grads = model._backward_slices(dlogits, params64, cache)
     # first-layer weights multiply the zero input, so their gradient is exactly 0

@@ -87,11 +87,30 @@ def test_missing_sidecar(tmp_path):
         read_volume(path)
 
 
-def test_malformed_sidecar(tmp_path):
+@pytest.mark.parametrize("sidecar", [
+    "{not json",
+    '[2, 2, 2]',
+    '{"dims": [2, 2, 2]}',
+    '{"dims": [2.9, 2, 2], "spacing": [1, 1, 1]}',
+    '{"dims": [true, 2, 4], "spacing": [1, 1, 1]}',
+    '{"dims": ["2", 2, 2], "spacing": [1, 1, 1]}',
+    '{"dims": [2, 2, 2, 1], "spacing": [1, 1, 1]}',
+    '{"dims": [8, 1, 0], "spacing": [1, 1, 1]}',
+    '{"dims": [2, 2, 2], "spacing": [0, 1, 1]}',
+    '{"dims": [2, 2, 2], "spacing": [1, 1]}',
+    '{"dims": [2, 2, 2], "spacing": [1, NaN, 1]}',
+    '{"dims": [2, 2, 2], "spacing": [1, true, 1]}',
+    '{"dims": [2, 2, 2], "spacing": [1, 1%s, 1]}' % ("0" * 400),
+    '{"dims": [2, 2, 2], "spacing": "1,1,1"}',
+], ids=["not-json", "not-object", "no-spacing", "float-dim", "bool-dim", "string-dim", "four-dims", "zero-dim",
+        "zero-spacing", "two-spacings", "nan-spacing", "bool-spacing", "huge-spacing",
+        "string-spacing"])
+def test_malformed_sidecar(tmp_path, sidecar):
+    # eight values fit every dims above that a lenient reader would accept
     path = tmp_path / "bad.vvol"
-    path.write_bytes(struct.pack("<f", 1.0))
-    (tmp_path / "bad.vvol.json").write_text("{not json")
-    with pytest.raises(VolumeFormatError, match="malformed header"):
+    path.write_bytes(struct.pack("<8f", *range(8)))
+    (tmp_path / "bad.vvol.json").write_text(sidecar)
+    with pytest.raises(VolumeFormatError, match=r"malformed header bad\.vvol\.json: "):
         read_volume(path)
 
 
