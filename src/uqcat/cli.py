@@ -438,9 +438,13 @@ def _merge_config(file_cfg: dict, model: Path | None, seed: int | None, samples:
 
 
 def _json_value(key: str, value, kind: type):
-    """``value`` when its JSON type is ``kind`` (int or bool): ``true`` is no integer, ``2.7`` or ``"1"`` neither."""
+    """``value`` when its JSON type is ``kind`` (int, float or bool): ``true`` is no number, ``2.7`` or ``"1"`` no
+    integer.  A float ``kind`` takes any JSON number and returns it as a float."""
+    if kind is float and type(value) is int:
+        value = float(value)
     if type(value) is not kind:
-        raise ValueError(f"{key} must be a JSON {'integer' if kind is int else 'boolean'}, got {value!r}")
+        raise ValueError(f"{key} must be a JSON {({int: 'integer', float: 'number', bool: 'boolean'})[kind]}, "
+                         f"got {value!r}")
     return value
 
 
@@ -448,10 +452,10 @@ def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
     """Typed phantom/train/run arguments, seeds included; ``cfg`` itself is left as written."""
     seed, phantom, run = _json_value("seed", cfg["seed"], int), cfg["phantom"], cfg["run"]
     x, y, z = (_json_value("phantom.dims", d, int) for d in phantom["dims"])
-    lo, hi = (float(r) for r in phantom["radius"])
+    lo, hi = (_json_value("phantom.radius", r, float) for r in phantom["radius"])
     phantom_args = dict(subjects=_json_value("phantom.subjects", phantom["subjects"], int), seed=seed, dims=(x, y, z),
                         lesions=_json_value("phantom.lesions", phantom["lesions"], int), radius=(lo, hi),
-                        noise=float(phantom["noise"]),
+                        noise=_json_value("phantom.noise", phantom["noise"], float),
                         satellite=_json_value("phantom.satellite", phantom["satellite"], bool))
     train_args = None
     if "train" in cfg:

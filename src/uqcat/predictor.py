@@ -62,15 +62,25 @@ differently; 2-pixel-wide inputs keep the reshape).  Upsampling makes four strid
 straight into the concat buffer with the skip copied in after it, and
 softplus reuses one temporary.
 
-Test-time dropout passes share the first block.  Its conv and softplus
-come before the first dropout mask, and every dropout pass of a case sees
-the same unperturbed image, so :meth:`TinySegmenter.forward` keeps that
-activation in a one-entry memo keyed by the image and the block's
-parameter arrays (:meth:`TinySegmenter._first_activation`).  Each pass
-still draws all its masks from its own generator in block order, so the
-outputs are bit-identical to recomputing the block.  Passes without
+Test-time dropout passes share every all-keep mask prefix.  Every dropout
+pass of a case sees the same unperturbed image, and the first block's conv
+and softplus come before the first mask, so :meth:`TinySegmenter.forward`
+keeps that activation in a one-entry memo keyed by the image and the
+block's parameter arrays (:meth:`TinySegmenter._first_activation`).  A
+mask that drops no channel scales every channel by the same 1/(1-rate), so
+a pass whose first k masks are all-keep gives blocks 1..k the same inputs
+as every other such pass; at rates of 0.03-0.15 an 8-channel mask drops
+nothing in 27-78% of draws.  A second one-entry memo, keyed by the image,
+the rate and every parameter array, keeps the activations such a prefix
+reaches in the blocks below full resolution, and the logits of a pass
+whose masks are all all-keep (:meth:`TinySegmenter._dropout_logits`);
+full-resolution decoder activations are not kept, so for the default
+network it holds the bottleneck and the logits, 2.5 MB at 64x64x32.  Each
+pass still draws all its masks from its own generator in block order, and
+a shared activation holds the bits a memo-free pass computes, so the
+outputs are bit-identical to recomputing every block.  Passes without
 dropout (test-time augmentation, training, validation) never repeat an
-image and bypass the memo.
+image and bypass both memos.
 
 Every pass runs the encoder-decoder in one loop over chunks of axial
 slices, so that each tap's conv product is read back from cache rather
@@ -80,12 +90,13 @@ than from memory.  A chunk holds as many slices as fit one
 32x32, 1 at 64x64 and a whole 16x16x8 stack.  Passes that keep backward
 state (training, :func:`gradient_check`) run their batch as one chunk.
 A pass draws all its dropout masks before the first chunk, in block
-order, which is the stream the per-block draws took, and the first
-block's shared activation is computed over the same chunks and sliced per
-chunk.  Each 3x3 conv is one gemm per slice and the other layers are
-elementwise, so their bits do not depend on the chunking; the 1x1 head's
-einsum does depend on the batch size in float32, so the head runs once on
-a preallocated stack of the chunks' outputs, which the last decoder block
+order, which is the stream the per-block draws took.  A shared activation
+is computed over the same chunks and sliced per chunk, and a block that
+takes one skips building its pooling, upsampling or concat input.  Each
+3x3 conv is one gemm per slice and the other layers are elementwise, so
+their bits do not depend on the chunking; the 1x1 head's einsum does
+depend on the batch size in float32, so the head runs once on a
+preallocated stack of the chunks' outputs, which the last decoder block
 writes its softplus, or its dropout product, straight into.
 """
 
@@ -362,6 +373,15 @@ def _upsample2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _concat(deep: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Decoder input: ``deep`` upsampled straight into the concat buffer, then ``skip`` copied after it."""
+    c = deep.shape[1]
+    cat = np.empty((skip.shape[0], c + skip.shape[1], *skip.shape[2:]), dtype=skip.dtype)
+    _upsample2(deep, out=cat[:, :c])
+    cat[:, c:] = skip
+    return cat
+
+
 _upsample2_backward = _sum2x2  # each input pixel fed one 2x2 block of the output
 
 
@@ -432,6 +452,8 @@ class TinySegmenter:
         self.params = _init_params(self.config, derive_rng(self.seed, "init"))
         # (volume, W, b, activation) of the last dropout pass's first block
         self._first_memo: tuple | None = None
+        # (volume, rate, parameter arrays, {block name: activation}) of the all-keep prefixes seen last
+        self._prefix_memo: tuple | None = None
 
     # -- volume-level API ---------------------------------------------------
 
@@ -440,12 +462,54 @@ class TinySegmenter:
         if not (0.0 <= dropout_rate < 1.0):
             raise PredictorError(f"dropout rate must be in [0, 1), got {dropout_rate}")
         if dropout_rate > 0.0:
-            rng = np.random.default_rng(seed)
-            logits = self._forward_slices(self._first_activation(v), self.params, dropout_rate, rng, shared_first=True)
+            logits = self._dropout_logits(v, dropout_rate, np.random.default_rng(seed))
         else:
             logits = self._forward_slices(self._stack_slices(v), self.params, 0.0, None)
         probs = expit(logits[:, 0].astype(np.float64))
         return Volume(np.moveaxis(probs, 0, 2), v.spacing)
+
+    def _dropout_logits(self, v: Volume, rate: float, rng: np.random.Generator) -> np.ndarray:
+        """Logits of one dropout pass over ``v``, sharing what its all-keep mask prefix shares.
+
+        If the first k masks keep every channel, blocks 0..k get the same
+        input, so the same activation, on every such pass with the same
+        image, rate and parameters.  Block 0 comes from
+        :meth:`_first_activation`; the blocks below full resolution and the
+        logits of an all-keep pass come from a one-entry memo keyed by the
+        identity of the image and of every parameter array, and by the rate.
+        A pass records there, read-only, each such activation it computes
+        and the memo lacks.  The masks are drawn from ``rng`` in block order
+        either way, so the outputs are those of a memo-free pass.
+        """
+        params = self.params
+        names = self._block_names()
+        scales = self._dropout_scales(params, rate, rng, np.float32)
+        kept = next((k for k, name in enumerate(names) if not scales[name].all()), len(names))
+        arrays = tuple(params.values())
+        memo = self._prefix_memo
+        held = {}
+        if (memo is not None and memo[0] is v and memo[1] == rate and len(memo[2]) == len(arrays)
+                and all(a is b for a, b in zip(memo[2], arrays))):
+            held = memo[3]
+        if kept == len(names) and "head" in held:
+            return held["head"]
+        x = self._first_activation(v)
+        n, _, hgt, wid = x.shape
+        shared, record = {names[0]: x}, {}
+        for j, name in enumerate(names[1:-1][:kept], start=1):
+            if name in held:
+                shared[name] = held[name]
+            else:
+                depth = min(j, len(names) - 1 - j)
+                record[name] = np.empty((n, params[f"{name}.W"].shape[0], hgt >> depth, wid >> depth), x.dtype)
+        logits = self._run_chunks(x, params, scales, None, shared, record)
+        if kept == len(names):
+            record["head"] = logits
+        if record:
+            for act in record.values():
+                act.flags.writeable = False
+            self._prefix_memo = (v, rate, arrays, {**held, **record})
+        return logits
 
     def _first_activation(self, v: Volume) -> np.ndarray:
         """Read-only softplus activation of the first block for ``v``, before dropout.
@@ -487,28 +551,39 @@ class TinySegmenter:
             x[:, c] = np.moveaxis(v.data[:, :, zidx], 2, 0)
         return x
 
-    def _forward_slices(self, x, params, rate, rng, cache: list | None = None, shared_first: bool = False):
-        """Logits (B, 1, H, W) for a slice batch ``x``.
+    def _forward_slices(self, x, params, rate, rng, cache: list | None = None):
+        """Logits (B, 1, H, W) for a slice batch ``x``, drawing every dropout mask here, in block order.
+
+        A ``cache`` list, when given, receives the backward state, and the
+        batch is then one chunk.
+        """
+        scales = self._dropout_scales(params, rate, rng, x.dtype) if rate > 0.0 else {}
+        return self._run_chunks(x, params, scales, cache)
+
+    def _dropout_scales(self, params, rate, rng, dtype) -> dict[str, np.ndarray]:
+        """Each block's channel dropout multiplier, drawn from ``rng`` in block order."""
+        return {
+            name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, dtype)[None, :, None, None]
+            for name in self._block_names()
+        }
+
+    def _run_chunks(self, x, params, scales, cache=None, shared=None, record=None):
+        """Logits for ``x`` with the given dropout ``scales`` (none without dropout).
 
         The encoder-decoder runs over chunks of slices into one preallocated
         top-level stack and the head runs once over that stack (see the
-        module docstring).  A ``cache`` list, when given, receives the
-        backward state, and the batch is then one chunk.  With
-        ``shared_first``, ``x`` is the first block's activation
-        (:meth:`_first_activation`) rather than the slice stack.  Every
-        dropout mask is drawn here before the chunks, in block order.
+        module docstring).  ``shared`` maps a block name to its whole-stack
+        activation, which the block takes instead of computing it; ``x`` is
+        then only read by the blocks not found there.  ``record`` maps a
+        block name to a whole-stack buffer that receives its activation.
         """
-        scales = {}
-        if rate > 0.0:
-            scales = {
-                name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, x.dtype)[None, :, None, None]
-                for name in self._block_names()
-            }
+        shared, record = shared or {}, record or {}
         n, _, hgt, wid = x.shape
         step = n if cache is not None else self._chunk_slices(x)
         top = np.empty((n, self.config.base_filters, hgt, wid), dtype=x.dtype)
         for s in range(0, n, step):
-            self._encode_decode(x[s : s + step], shared_first, params, scales, cache, top[s : s + step])
+            chunk = slice(s, s + step)
+            self._encode_decode(x, chunk, params, scales, shared, record, cache, top[chunk])
         logits = _conv1(top, params["head.W"], params["head.b"])
         if cache is not None:
             cache.append({"name": "head", "x": top})
@@ -525,44 +600,39 @@ class TinySegmenter:
         widest = self.config.base_filters * 2 ** (self.config.n_blocks - 1)
         return max(1, _CHUNK_BYTES // (src.itemsize * (hgt + 2) * (wid + 2) * widest))
 
-    def _encode_decode(self, x, shared_first, params, scales, cache, out) -> None:
-        """Write the top-level decoder output for a chunk of slices into ``out``.
+    def _encode_decode(self, x, chunk, params, scales, shared, record, cache, out) -> None:
+        """Write the top-level decoder output for the slices ``chunk`` of ``x`` into ``out``.
 
-        ``scales`` holds each block's dropout multiplier.  With
-        ``shared_first`` (dropout passes only), ``x`` is the first block's
-        activation rather than its input.
+        ``scales`` holds each block's dropout multiplier.  A block in
+        ``shared`` takes the chunk's slice of its activation, and its input
+        (pooling, upsampling, concat) is never built; a block in ``record``
+        writes its activation into the chunk's slice of that buffer.
         """
         names = self._block_names()
         skips: list = []
-        h = x
 
-        def block(name: str, inp: np.ndarray) -> np.ndarray:
+        def block(name: str, inp: np.ndarray | None) -> np.ndarray:
             pre = None
             dst = out if name == names[-1] else None
-            if shared_first and name == names[0]:
-                act = inp
+            if name in shared:
+                act = shared[name][chunk]
             else:
                 pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
-                act = _softplus(pre, None if scales else dst)
+                act = _softplus(pre, record[name][chunk] if name in record else None if scales else dst)
             if cache is not None:
                 cache.append({"name": name, "x": inp, "pre": pre})
             if scales:
-                # a new array or ``out``: ``act`` may be the shared one
+                # a new array or ``out``: ``act`` may be a shared one
                 return np.multiply(act, scales[name], out=dst)
             return act
 
-        for i in range(self.config.n_blocks - 1):
-            h = block(f"enc{i}", h)
+        h = block(names[0], x[chunk])
+        for name in names[1 : self.config.n_blocks]:
             skips.append(h)
-            h = _avgpool2(h)
-        h = block("bot", h)
+            h = block(name, None if name in shared else _avgpool2(h))
         for i in reversed(range(self.config.n_blocks - 1)):
-            # upsample straight into the concat buffer, then copy the skip after it
-            skip, deep = skips[i], h.shape[1]
-            cat = np.empty((skip.shape[0], deep + skip.shape[1], *skip.shape[2:]), dtype=skip.dtype)
-            _upsample2(h, out=cat[:, :deep])
-            cat[:, deep:] = skip
-            h = block(f"dec{i}", cat)
+            name = f"dec{i}"
+            h = block(name, None if name in shared else _concat(h, skips[i]))
 
     def _backward_slices(self, dlogits, params, cache):
         """Gradients for every parameter given d(loss)/d(logits)."""
@@ -655,7 +725,8 @@ class TinySegmenter:
                     raise PredictorError(f"checkpoint {path.name} ended inside parameter {name}")
         # the payload sets every parameter, so the model is built without drawing an initialisation
         model = cls.__new__(cls)
-        model.config, model.seed, model.params, model._first_memo = config, seed, params, None
+        model.config, model.seed, model.params = config, seed, params
+        model._first_memo = model._prefix_memo = None
         return model
 
 

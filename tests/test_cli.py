@@ -458,11 +458,14 @@ def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, mo
     ({"run": {"samples": 2.7, "cases": "1,7"}}, "run.samples"),
     ({"run": {"samples": 4, "cases": "1,7", "binarize": "false"}}, "run.binarize"),
     ({"run": {"samples": 4, "cases": "1,7", "binarize": 1}}, "run.binarize"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": "0.05"}}, "phantom.noise"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": True}}, "phantom.noise"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [True, "3"]}}, "phantom.radius"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
         "one-case", "one-distinct-case", "repeated-case", "seed-bool", "seed-float", "subjects-bool", "dims-float",
         "lesions-float", "satellite-string", "satellite-int", "epochs-float", "holdout-bool", "samples-float",
-        "binarize-string", "binarize-int"])
+        "binarize-string", "binarize-int", "noise-string", "noise-bool", "radius-bool-and-string"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))

@@ -190,6 +190,94 @@ def test_one_chunk_forward_reproduces_whole_stack_oracle_bit_for_bit(n_blocks, r
     assert got.tobytes() == oracle_logits(5).tobytes()
 
 
+def all_keep_prefix(model, rate, seed):
+    """How many leading blocks the pass ``seed`` keeps every channel of."""
+    scales = model._dropout_scales(model.params, rate, np.random.default_rng(seed), np.float32)
+    names = model._block_names()
+    return next((k for k, name in enumerate(names) if not scales[name].all()), len(names))
+
+
+@pytest.mark.parametrize("rate", [1e-6, 0.03, 0.4])
+@pytest.mark.parametrize("context", [0, 2])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+@pytest.mark.parametrize("grid", CHUNKED_GRIDS.values(), ids=CHUNKED_GRIDS.keys())
+def test_dropout_prefix_memo_reproduces_scratch_forward_bit_for_bit(grid, n_blocks, context, rate):
+    # at 1e-6 every mask keeps every channel, so every level is recorded on the first pass and hit after it
+    side, nz = grid
+    model, img = chunk_test_model(side, nz, n_blocks, context)
+    names = model._block_names()
+    expected: set = set()
+    reused = 0
+    for seed in range(8):
+        kept = all_keep_prefix(model, rate, seed)
+        reach = names[1:-1][:kept] + (["head"] if kept == len(names) else [])
+        before = model._prefix_memo
+        held_before = before[3] if before else {}
+        got = model.forward(img, dropout_rate=rate, seed=seed).data
+        assert got.tobytes() == forward_from_scratch(model, img, rate, seed).tobytes(), seed
+        held = model._prefix_memo[3] if model._prefix_memo else {}
+        # the memo holds every level an all-keep prefix has reached, read-only, and never recomputes one it holds
+        expected.update(reach)
+        assert set(held) == expected, seed
+        assert all(not act.flags.writeable for act in held.values())
+        assert all(held[name] is act for name, act in held_before.items()), seed
+        if all(name in held_before for name in reach):
+            assert model._prefix_memo is before, seed
+        reused += sum(name in held_before for name in reach)
+    if rate == 1e-6:
+        assert expected == {*names[1:-1], "head"} and reused == 7 * len(expected)
+    elif rate == 0.03:
+        assert reused > 0
+
+
+def test_dropout_prefix_memo_misses_after_parameter_replacement_rate_change_and_another_image():
+    model, img = chunk_test_model(32, 16, 2, 2)
+    other = Volume(np.random.default_rng(7).normal(size=img.dims))
+    model.forward(img, dropout_rate=1e-6, seed=0)
+
+    def check_recorded(image, rate):
+        stale = model._prefix_memo
+        got = model.forward(image, dropout_rate=rate, seed=1).data
+        assert got.tobytes() == forward_from_scratch(model, image, rate, 1).tobytes()
+        assert model._prefix_memo is not stale and set(model._prefix_memo[3]) == {"bot", "head"}
+        assert all(model._prefix_memo[3][name] is not act for name, act in stale[3].items())
+
+    # bot's weights are past the first block, so only the prefix memo can go stale
+    model.params["bot.W"] = model.params["bot.W"] * np.float32(0.5)
+    check_recorded(img, 1e-6)
+    check_recorded(img, 1e-4)
+    check_recorded(other, 1e-4)
+
+
+def test_deterministic_forwards_leave_the_prefix_memo_alone():
+    model, img = chunk_test_model(32, 16, 2, 2)
+    other = Volume(np.random.default_rng(7).normal(size=img.dims))
+    model.forward(img)
+    assert model._prefix_memo is None
+    model.forward(img, dropout_rate=1e-6, seed=0)
+    memo = model._prefix_memo
+    assert set(memo[3]) == {"bot", "head"}
+    model.forward(img)
+    model.forward(other, dropout_rate=0.0, seed=5)
+    assert model._prefix_memo is memo
+
+
+def test_dropout_prefix_memo_under_thread_contention():
+    # threads alternate two rates, so the one-entry memo is replaced while others read it
+    model, img = chunk_test_model(32, 16, 2, 2)
+    jobs = [((1e-6, 0.03)[seed % 2], seed) for seed in range(24)]
+    want = {job: forward_from_scratch(model, img, *job).tobytes() for job in jobs}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = dict(zip(jobs, pool.map(
+                lambda job: model.forward(img, dropout_rate=job[0], seed=job[1]).data.tobytes(), jobs, timeout=120)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])
 def test_cached_forward_is_one_whole_stack_chunk(n_blocks, dtype):
@@ -217,20 +305,29 @@ def test_chunk_size_follows_the_input():
     assert model._chunk_slices(np.zeros((16, 5, 32, 32))) == 1  # float64 halves the slices per chunk
 
 
-@pytest.mark.parametrize("rate, memo", [(0.0, "none"), (0.03, "hit"), (0.03, "miss")])
+@pytest.mark.parametrize("rate, memo", [(0.0, "none"), (0.03, "hit"), (0.03, "miss"), (0.03, "record"),
+                                        (0.03, "all-hit")])
 def test_inference_forward_memory_is_bounded(rate, memo):
-    # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB
+    # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB.
+    # "record" misses the first block and records bot and the logits; "all-hit" takes the logits from the memo
     model, img = chunk_test_model(64, 32, 2, 2)
-    model.forward(img, dropout_rate=rate, seed=0)
-    if memo == "miss":
+    seeds = (2, 4) if memo in ("record", "all-hit") else (0, 1)  # 2 and 4 keep every channel at 0.03
+    model.forward(img, dropout_rate=rate, seed=seeds[0])
+    if memo in ("miss", "record"):
         model._first_memo = None
+    if memo == "record":
+        model._prefix_memo = None
+    held = model._prefix_memo
     tracemalloc.start()
     try:
-        model.forward(img, dropout_rate=rate, seed=1)
+        model.forward(img, dropout_rate=rate, seed=seeds[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+    if memo in ("record", "all-hit"):
+        assert set(model._prefix_memo[3]) == {"bot", "head"}
+        assert (model._prefix_memo is held) == (memo == "all-hit")
 
 
 def test_forward_dims_validation():
