@@ -47,7 +47,7 @@ from .phantom import PhantomSpec, generate_cohort
 from .predictor import PredictorConfig, PredictorError, TinySegmenter, TrainConfig, dice_score, train
 from .seeding import derive_seed
 from .uq import CASES, CaseError, get_case, parse_case_selection, run_case, uncertainty_maps
-from .volume import Volume, read_volume, write_volume
+from .volume import Volume, VolumeError, read_volume, write_volume
 
 
 class UsageError(Exception):
@@ -130,14 +130,13 @@ def _write_vvol(vol: Volume, path: Path) -> list[str]:
 
 def cmd_phantom(out: Path, subjects: int, seed: int, dims: tuple[int, int, int], lesions: int,
                 radius: tuple[float, float], noise: float, satellite: bool) -> int:
-    spec = PhantomSpec(
-        dims=dims,
-        n_lesions=lesions,
-        radius_range=radius,
-        noise_std=noise,
-        satellite=satellite,
-        seed=derive_seed(seed, "phantom"),
-    )
+    if subjects < 1:
+        raise UsageError(f"--subjects must be >= 1, got {subjects}")
+    try:
+        spec = PhantomSpec(dims=dims, n_lesions=lesions, radius_range=radius, noise_std=noise, satellite=satellite,
+                           seed=derive_seed(seed, "phantom"))
+    except VolumeError as exc:
+        raise UsageError(str(exc))
     cohort = generate_cohort(spec, subjects)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -185,6 +184,8 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
         cfg = TrainConfig(epochs=epochs, seed=seed)
     except PredictorError as exc:
         raise UsageError(str(exc))
+    if holdout < 0:
+        raise UsageError(f"--holdout must be >= 0, got {holdout}")
     cohort = list(_load_cohort(data, labels=True).values())
     if holdout >= len(cohort):
         raise UsageError(f"--holdout {holdout} leaves no training subjects (cohort has {len(cohort)})")
@@ -457,11 +458,18 @@ def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
                         lesions=_json_value("phantom.lesions", phantom["lesions"], int), radius=(lo, hi),
                         noise=_json_value("phantom.noise", phantom["noise"], float),
                         satellite=_json_value("phantom.satellite", phantom["satellite"], bool))
+    if phantom_args["subjects"] < 1:
+        raise ValueError(f"phantom.subjects must be >= 1, got {phantom_args['subjects']}")
+    # rejects the lesion count, radius range, noise and dims that cmd_phantom's spec would
+    PhantomSpec(dims=(x, y, z), n_lesions=phantom_args["lesions"], radius_range=(lo, hi),
+                noise_std=phantom_args["noise"])
     train_args = None
     if "train" in cfg:
         train_args = dict(epochs=_json_value("train.epochs", cfg["train"]["epochs"], int),
                           seed=derive_seed(seed, "train-stage"),
                           holdout=_json_value("train.holdout", cfg["train"]["holdout"], int))
+        if train_args["holdout"] < 0:
+            raise ValueError(f"train.holdout must be >= 0, got {train_args['holdout']}")
         if train_args["holdout"] >= phantom_args["subjects"]:
             raise ValueError(f"holdout {train_args['holdout']} leaves no training subjects")
         TrainConfig(epochs=train_args["epochs"])  # rejects epochs < 1

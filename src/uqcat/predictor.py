@@ -64,23 +64,22 @@ softplus reuses one temporary.
 
 Test-time dropout passes share every all-keep mask prefix.  Every dropout
 pass of a case sees the same unperturbed image, and the first block's conv
-and softplus come before the first mask, so :meth:`TinySegmenter.forward`
-keeps that activation in a one-entry memo keyed by the image and the
-block's parameter arrays (:meth:`TinySegmenter._first_activation`).  A
-mask that drops no channel scales every channel by the same 1/(1-rate), so
-a pass whose first k masks are all-keep gives blocks 1..k the same inputs
-as every other such pass; at rates of 0.03-0.15 an 8-channel mask drops
-nothing in 27-78% of draws.  A second one-entry memo, keyed by the image,
-the rate and every parameter array, keeps the activations such a prefix
-reaches in the blocks below full resolution, and the logits of a pass
-whose masks are all all-keep (:meth:`TinySegmenter._dropout_logits`);
-full-resolution decoder activations are not kept, so for the default
-network it holds the bottleneck and the logits, 2.5 MB at 64x64x32.  Each
-pass still draws all its masks from its own generator in block order, and
-a shared activation holds the bits a memo-free pass computes, so the
-outputs are bit-identical to recomputing every block.  Passes without
-dropout (test-time augmentation, training, validation) never repeat an
-image and bypass both memos.
+and softplus come before the first mask.  A mask that drops no channel
+scales every channel by the same 1/(1-rate), so a pass whose first k masks
+are all-keep gives blocks 1..k the same inputs as every other such pass; at
+rates of 0.03-0.15 an 8-channel mask drops nothing in 27-78% of draws.
+A one-entry memo, keyed by the image, every parameter array and the
+rate, keeps the activations these prefixes reach: the first block's, which
+survives a rate change, those of the blocks below full resolution, and the
+logits of a pass whose masks are all all-keep
+(:meth:`TinySegmenter._dropout_logits`).  Full-resolution decoder
+activations past the first block are not kept, so for the default network
+it holds the first block, the bottleneck and the logits, 4 + 2 + 0.5 MB at
+64x64x32.  Each pass still draws all its masks from its own generator in
+block order, and a shared activation holds the bits a memo-free pass
+computes, so the outputs are bit-identical to recomputing every block.
+Passes without dropout (test-time augmentation, training, validation)
+never repeat an image and bypass the memo.
 
 Every pass runs the encoder-decoder in one loop over chunks of axial
 slices, so that each tap's conv product is read back from cache rather
@@ -450,10 +449,8 @@ class TinySegmenter:
         self.config = config or PredictorConfig()
         self.seed = int(seed)
         self.params = _init_params(self.config, derive_rng(self.seed, "init"))
-        # (volume, W, b, activation) of the last dropout pass's first block
-        self._first_memo: tuple | None = None
-        # (volume, rate, parameter arrays, {block name: activation}) of the all-keep prefixes seen last
-        self._prefix_memo: tuple | None = None
+        # (volume, parameter arrays, rate, {block name: read-only activation}) of the last dropout passes
+        self._memo: tuple | None = None
 
     # -- volume-level API ---------------------------------------------------
 
@@ -464,76 +461,74 @@ class TinySegmenter:
         if dropout_rate > 0.0:
             logits = self._dropout_logits(v, dropout_rate, np.random.default_rng(seed))
         else:
-            logits = self._forward_slices(self._stack_slices(v), self.params, 0.0, None)
+            logits = self._forward_slices(self._stack_slices(v), self.params)
         probs = expit(logits[:, 0].astype(np.float64))
         return Volume(np.moveaxis(probs, 0, 2), v.spacing)
 
     def _dropout_logits(self, v: Volume, rate: float, rng: np.random.Generator) -> np.ndarray:
         """Logits of one dropout pass over ``v``, sharing what its all-keep mask prefix shares.
 
-        If the first k masks keep every channel, blocks 0..k get the same
-        input, so the same activation, on every such pass with the same
-        image, rate and parameters.  Block 0 comes from
-        :meth:`_first_activation`; the blocks below full resolution and the
-        logits of an all-keep pass come from a one-entry memo keyed by the
-        identity of the image and of every parameter array, and by the rate.
-        A pass records there, read-only, each such activation it computes
-        and the memo lacks.  The masks are drawn from ``rng`` in block order
-        either way, so the outputs are those of a memo-free pass.
+        The first block comes before every mask, and if the first k masks
+        keep every channel, blocks 1..k get the same input too, on every
+        pass with the same image, rate and parameters.  A one-entry memo,
+        keyed by the identity of the image and of every parameter array
+        (which it holds, so their ids cannot be reused) and by the rate,
+        keeps these activations read-only: the first block's,
+        which does not depend on the rate and survives a rate change, those
+        below full resolution, and the logits of a pass whose masks all keep
+        every channel.  Training and :meth:`load` replace parameter arrays
+        rather than writing into them, so a parameter change misses the
+        memo, and a miss on the image or the parameters drops it before the
+        pass computes.  A pass records each such activation it computes and
+        the memo lacks, and publishes the memo as one tuple, so concurrent
+        passes see either entry, never a mix.  The masks are drawn from
+        ``rng`` in block order either way, so the outputs are those of a
+        memo-free pass.
         """
         params = self.params
         names = self._block_names()
         scales = self._dropout_scales(params, rate, rng, np.float32)
         kept = next((k for k, name in enumerate(names) if not scales[name].all()), len(names))
         arrays = tuple(params.values())
-        memo = self._prefix_memo
-        held = {}
-        if (memo is not None and memo[0] is v and memo[1] == rate and len(memo[2]) == len(arrays)
-                and all(a is b for a, b in zip(memo[2], arrays))):
-            held = memo[3]
+        memo = self._memo
+        if (memo is not None and memo[0] is v and len(memo[1]) == len(arrays)
+                and all(a is b for a, b in zip(memo[1], arrays))):
+            held = memo[3] if memo[2] == rate else {names[0]: memo[3][names[0]]}
+        else:
+            held = {}
+            memo = self._memo = None  # a stale entry is freed before this pass computes its own
         if kept == len(names) and "head" in held:
             return held["head"]
-        x = self._first_activation(v)
+        record = {}
+        x = held.get(names[0])
+        if x is None:
+            x = record[names[0]] = self._first_activation(v)
         n, _, hgt, wid = x.shape
-        shared, record = {names[0]: x}, {}
+        shared = {names[0]: x}
         for j, name in enumerate(names[1:-1][:kept], start=1):
             if name in held:
                 shared[name] = held[name]
             else:
                 depth = min(j, len(names) - 1 - j)
                 record[name] = np.empty((n, params[f"{name}.W"].shape[0], hgt >> depth, wid >> depth), x.dtype)
-        logits = self._run_chunks(x, params, scales, None, shared, record)
+        logits = self._forward_slices(x, params, scales, shared=shared, record=record)
         if kept == len(names):
             record["head"] = logits
         if record:
             for act in record.values():
                 act.flags.writeable = False
-            self._prefix_memo = (v, rate, arrays, {**held, **record})
+            self._memo = (v, arrays, rate, {**held, **record})
         return logits
 
     def _first_activation(self, v: Volume) -> np.ndarray:
-        """Read-only softplus activation of the first block for ``v``, before dropout.
-
-        It comes before the first dropout mask, so every dropout pass over
-        the same image shares it.  A one-entry memo keeps it, keyed by the
-        identity of the (immutable) volume and of the block's W and b
-        arrays, which it holds so their ids cannot be reused.  Training and
-        :meth:`load` replace parameter arrays rather than writing into
-        them, so a parameter change misses the memo.  One tuple is read and
-        written whole, so concurrent passes see either entry, never a mix.
-        """
+        """Softplus activation of the first block for ``v``, before dropout, computed over slice chunks."""
         name = self._block_names()[0]
         w, b = self.params[f"{name}.W"], self.params[f"{name}.b"]
-        memo = self._first_memo
-        if memo is not None and memo[0] is v and memo[1] is w and memo[2] is b:
-            return memo[3]
         x = self._stack_slices(v)
         step = self._chunk_slices(x)
         act = np.empty((len(x), w.shape[0], *x.shape[2:]), dtype=x.dtype)
         for s in range(0, len(x), step):
             _softplus(_conv3(x[s : s + step], w, b), out=act[s : s + step])
-        act.flags.writeable = False
-        self._first_memo = (v, w, b, act)
         return act
 
     def _stack_slices(self, v: Volume, dtype=np.float32) -> np.ndarray:
@@ -551,33 +546,20 @@ class TinySegmenter:
             x[:, c] = np.moveaxis(v.data[:, :, zidx], 2, 0)
         return x
 
-    def _forward_slices(self, x, params, rate, rng, cache: list | None = None):
-        """Logits (B, 1, H, W) for a slice batch ``x``, drawing every dropout mask here, in block order.
+    def _forward_slices(self, x, params, scales=None, cache=None, shared=None, record=None):
+        """Logits (B, 1, H, W) for a slice batch ``x``, each block's output times its multiplier in ``scales``.
 
-        A ``cache`` list, when given, receives the backward state, and the
-        batch is then one chunk.
+        Without ``scales`` the pass has no dropout.  The encoder-decoder runs
+        over chunks of slices into one preallocated top-level stack and the
+        head runs once over that stack (see the module docstring).  A
+        ``cache`` list, when given, receives the backward state, and the
+        batch is then one chunk.  ``shared`` maps a block name to its
+        whole-stack activation, which the block takes instead of computing
+        it; ``x`` is then only read by the blocks not found there.
+        ``record`` maps a block name to a whole-stack buffer that receives
+        its activation.
         """
-        scales = self._dropout_scales(params, rate, rng, x.dtype) if rate > 0.0 else {}
-        return self._run_chunks(x, params, scales, cache)
-
-    def _dropout_scales(self, params, rate, rng, dtype) -> dict[str, np.ndarray]:
-        """Each block's channel dropout multiplier, drawn from ``rng`` in block order."""
-        return {
-            name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, dtype)[None, :, None, None]
-            for name in self._block_names()
-        }
-
-    def _run_chunks(self, x, params, scales, cache=None, shared=None, record=None):
-        """Logits for ``x`` with the given dropout ``scales`` (none without dropout).
-
-        The encoder-decoder runs over chunks of slices into one preallocated
-        top-level stack and the head runs once over that stack (see the
-        module docstring).  ``shared`` maps a block name to its whole-stack
-        activation, which the block takes instead of computing it; ``x`` is
-        then only read by the blocks not found there.  ``record`` maps a
-        block name to a whole-stack buffer that receives its activation.
-        """
-        shared, record = shared or {}, record or {}
+        scales, shared, record = scales or {}, shared or {}, record or {}
         n, _, hgt, wid = x.shape
         step = n if cache is not None else self._chunk_slices(x)
         top = np.empty((n, self.config.base_filters, hgt, wid), dtype=x.dtype)
@@ -588,6 +570,13 @@ class TinySegmenter:
         if cache is not None:
             cache.append({"name": "head", "x": top})
         return logits
+
+    def _dropout_scales(self, params, rate, rng, dtype) -> dict[str, np.ndarray]:
+        """Each block's channel dropout multiplier, drawn from ``rng`` in block order."""
+        return {
+            name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, dtype)[None, :, None, None]
+            for name in self._block_names()
+        }
 
     def _block_names(self) -> list[str]:
         """Convolution blocks in forward order: encoders, bottleneck, decoders."""
@@ -726,7 +715,7 @@ class TinySegmenter:
         # the payload sets every parameter, so the model is built without drawing an initialisation
         model = cls.__new__(cls)
         model.config, model.seed, model.params = config, seed, params
-        model._first_memo = model._prefix_memo = None
+        model._memo = None
         return model
 
 
@@ -820,7 +809,7 @@ def train(
                 # the last step's cache is dropped only after this forward: dropped before it, its memory is
                 # trimmed off the heap and faulted back in (4x the minor faults of a 64x64x32 training run)
                 step_cache: list = []
-                logits = pred._forward_slices(x, pred.params, 0.0, None, step_cache)
+                logits = pred._forward_slices(x, pred.params, cache=step_cache)
                 cache = step_cache
                 loss, dlogits = _loss_and_grad_wrt_logits(logits, y, cfg.w_ce, cfg.w_dice)
                 if not np.isfinite(loss):
@@ -834,7 +823,7 @@ def train(
         if val_data is not None:
             val_losses = []
             for x, y in val_data:
-                logits = pred._forward_slices(x, pred.params, 0.0, None)
+                logits = pred._forward_slices(x, pred.params)
                 loss, _ = _loss_and_grad_wrt_logits(logits, y, cfg.w_ce, cfg.w_dice)
                 val_losses.append(loss)
             monitored = float(np.mean(val_losses))
@@ -873,12 +862,12 @@ def gradient_check(pred: TinySegmenter, image: Volume, label: Volume, n_coords: 
     y = _label_batch(label)
 
     cache: list = []
-    logits = pred._forward_slices(x, params64, 0.0, None, cache)
+    logits = pred._forward_slices(x, params64, cache=cache)
     _, dlogits = _loss_and_grad_wrt_logits(logits, y, TrainConfig.w_ce, TrainConfig.w_dice)
     analytic = pred._backward_slices(dlogits, params64, cache)
 
     def loss_at(p64: dict[str, np.ndarray]) -> float:
-        lg = pred._forward_slices(x, p64, 0.0, None)
+        lg = pred._forward_slices(x, p64)
         loss, _ = _loss_and_grad_wrt_logits(lg, y, TrainConfig.w_ce, TrainConfig.w_dice)
         return loss
 

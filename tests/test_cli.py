@@ -155,10 +155,14 @@ def test_run_missing_subjects_creates_no_output(small_run, tmp_path):
     assert not out.exists()
 
 
-def test_phantom_failure_creates_no_output(tmp_path):
+def test_phantom_failure_creates_no_output(tmp_path, capsys):
     out = tmp_path / "ph"
-    assert main(["phantom", "--out", str(out), "--subjects", "1", "--dims", "6,6,6"]) == 1  # lesions cannot fit
-    assert not out.exists()
+    for flags, named in ((["--dims", "6,6,6"], "does not fit"), (["--noise", "-0.1"], "noise std"),
+                         (["--radius", "5,3"], "radius range"), (["--lesions", "0"], "at least one lesion"),
+                         (["--subjects", "0"], "--subjects")):
+        assert main(["phantom", "--out", str(out), "--subjects", "1", *flags]) == 2, flags  # bad flags
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analyze_mismatched_cases_exit_2_before_output(small_run, tmp_path, capsys):
@@ -199,6 +203,14 @@ def test_analyze_without_maps_creates_no_output(tmp_path):
 def test_train_zero_epochs_exits_2_before_output(small_run, tmp_path):
     out = tmp_path / "model.uqp"
     assert main(["train", "--data", str(small_run / "ph"), "--out", str(out), "--epochs", "0", "--seed", "5"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_negative_holdout_exits_2_before_output(small_run, tmp_path, capsys):
+    out = tmp_path / "model.uqp"
+    assert main(["train", "--data", str(small_run / "ph"), "--out", str(out), "--epochs", "1", "--seed", "5",
+                 "--holdout", "-1"]) == 2
+    assert "--holdout must be >= 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -341,7 +353,8 @@ def test_pipeline_missing_config_file(tmp_path):
 
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     cfg = pipeline_config()
-    cfg["phantom"]["dims"] = [6, 6, 6]  # default lesions cannot fit
+    # the spec accepts radius 2.2 in 6 voxels, lesion placement needs 2 * ceil(2.2) < 6
+    cfg["phantom"].update(dims=[6, 6, 6], radius=[2.2, 2.2])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
@@ -350,7 +363,8 @@ def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
 
 def test_pipeline_phantom_failure_leaves_no_out(tmp_path, capsys):
     cfg = pipeline_config()
-    cfg["phantom"]["dims"] = [6, 6, 6]  # default lesions cannot fit
+    # the spec accepts radius 2.2 in 6 voxels, lesion placement needs 2 * ceil(2.2) < 6
+    cfg["phantom"].update(dims=[6, 6, 6], radius=[2.2, 2.2])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -461,11 +475,18 @@ def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, mo
     ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": "0.05"}}, "phantom.noise"),
     ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": True}}, "phantom.noise"),
     ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [True, "3"]}}, "phantom.radius"),
+    ({"train": {"epochs": 6, "holdout": -1}}, "train.holdout must be >= 0"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": -0.1}}, "noise std"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [5, 3]}}, "radius range"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "lesions": 0}}, "at least one lesion"),
+    ({"phantom": {"subjects": 2, "dims": [8, 8, 8]}}, "does not fit inside dims"),
+    ({"phantom": {"subjects": 0, "dims": [16, 16, 8], "radius": [1.5, 2.5]}}, "phantom.subjects must be >= 1"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
         "one-case", "one-distinct-case", "repeated-case", "seed-bool", "seed-float", "subjects-bool", "dims-float",
         "lesions-float", "satellite-string", "satellite-int", "epochs-float", "holdout-bool", "samples-float",
-        "binarize-string", "binarize-int", "noise-string", "noise-bool", "radius-bool-and-string"])
+        "binarize-string", "binarize-int", "noise-string", "noise-bool", "radius-bool-and-string", "holdout-negative",
+        "noise-negative", "radius-unordered", "lesions-zero", "radius-does-not-fit", "subjects-zero"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))

@@ -55,77 +55,16 @@ def test_forward_seed_contract():
     assert not np.array_equal(a.data, c.data)
 
 
+def dropout_scales(model, params, rate, seed, dtype=np.float32):
+    """Every block's multiplier for the pass ``seed``; None at rate 0, which runs the dropout-free path."""
+    return model._dropout_scales(params, rate, np.random.default_rng(seed), dtype) if rate else None
+
+
 def forward_from_scratch(model, img, rate, seed):
-    """The dropout forward pass without the shared first block: fresh slice stack, conv and rng."""
+    """The dropout forward pass without the memo: fresh slice stack, first block and masks."""
     x = model._stack_slices(img)
-    logits = model._forward_slices(x, model.params, rate, np.random.default_rng(seed))
+    logits = model._forward_slices(x, model.params, dropout_scales(model, model.params, rate, seed))
     return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
-
-
-@pytest.mark.parametrize("n_blocks", [1, 2])
-def test_dropout_passes_share_the_first_block_bit_for_bit(n_blocks):
-    img, _ = small_phantom()
-    model = TinySegmenter(PredictorConfig(n_blocks=n_blocks), seed=1)
-    model.forward(img, dropout_rate=0.2, seed=0)
-    shared = model._first_memo[3]
-    for seed in range(1, 6):
-        got = model.forward(img, dropout_rate=0.2, seed=seed).data
-        assert model._first_memo[3] is shared
-        want = forward_from_scratch(model, img, 0.2, seed)
-        assert got.tobytes() == want.tobytes(), seed
-
-
-def test_first_block_memo_misses_after_parameter_replacement():
-    img, _ = small_phantom()
-    model = TinySegmenter(seed=1)
-    model.forward(img, dropout_rate=0.2, seed=3)
-    model.params["enc0.W"] = model.params["enc0.W"] * np.float32(0.5)
-    fresh = TinySegmenter(seed=1)
-    fresh.params = dict(model.params)
-    got = model.forward(img, dropout_rate=0.2, seed=3).data
-    assert got.tobytes() == fresh.forward(img, dropout_rate=0.2, seed=3).data.tobytes()
-    assert got.tobytes() == forward_from_scratch(model, img, 0.2, 3).tobytes()
-
-
-def test_deterministic_forwards_leave_the_memo_alone():
-    img, _ = small_phantom()
-    other, _ = small_phantom(seed=9)
-    model = TinySegmenter(seed=1)
-    model.forward(img)
-    assert model._first_memo is None
-    model.forward(img, dropout_rate=0.1, seed=0)
-    memo = model._first_memo
-    model.forward(img)
-    model.forward(other, dropout_rate=0.0, seed=5)
-    assert model._first_memo is memo
-
-
-def test_shared_first_activation_is_read_only():
-    img, _ = small_phantom()
-    model = TinySegmenter(seed=1)
-    model.forward(img, dropout_rate=0.1, seed=0)
-    act = model._first_memo[3]
-    assert not act.flags.writeable
-    with pytest.raises(ValueError):
-        act *= 2.0
-
-
-def test_shared_first_block_under_thread_contention():
-    # threads alternate two images, so the one-entry memo is replaced while others read it
-    images = [small_phantom(seed=s)[0] for s in (4, 9)]
-    model = TinySegmenter(seed=1)
-    jobs = [(seed % 2, seed) for seed in range(24)]
-    want = {job: forward_from_scratch(model, images[job[0]], 0.3, job[1]).tobytes() for job in jobs}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            got = dict(zip(jobs, pool.map(
-                lambda job: model.forward(images[job[0]], dropout_rate=0.3, seed=job[1]).data.tobytes(),
-                jobs, timeout=120)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
 
 
 def chunk_test_model(side, nz, n_blocks, context, seed=0):
@@ -164,7 +103,7 @@ def test_chunked_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, n_block
     params64 = {k: v.astype(np.float64) for k, v in model.params.items()}
     x64 = model._stack_slices(img, dtype=np.float64)
     assert model._chunk_slices(x64) < nz
-    got = model._forward_slices(x64, params64, rate, np.random.default_rng(5))
+    got = model._forward_slices(x64, params64, dropout_scales(model, params64, rate, 5, np.float64))
     want, _ = oracles.whole_stack_forward(model, x64, params64, rate, np.random.default_rng(5), False)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
@@ -186,7 +125,7 @@ def test_one_chunk_forward_reproduces_whole_stack_oracle_bit_for_bit(n_blocks, r
         want = np.moveaxis(expit(oracle_logits(seed)[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
         assert model.forward(img, dropout_rate=rate, seed=seed).data.tobytes() == want.tobytes(), seed
     # from the slice stack, without the shared first block
-    got = model._forward_slices(x, model.params, rate, np.random.default_rng(5))
+    got = model._forward_slices(x, model.params, dropout_scales(model, model.params, rate, 5))
     assert got.tobytes() == oracle_logits(5).tobytes()
 
 
@@ -202,7 +141,8 @@ def all_keep_prefix(model, rate, seed):
 @pytest.mark.parametrize("n_blocks", [1, 2, 3])
 @pytest.mark.parametrize("grid", CHUNKED_GRIDS.values(), ids=CHUNKED_GRIDS.keys())
 def test_dropout_prefix_memo_reproduces_scratch_forward_bit_for_bit(grid, n_blocks, context, rate):
-    # at 1e-6 every mask keeps every channel, so every level is recorded on the first pass and hit after it
+    # the first block comes before every mask, so every pass reaches it; at 1e-6 every mask keeps every channel,
+    # so every level is recorded on the first pass and hit after it
     side, nz = grid
     model, img = chunk_test_model(side, nz, n_blocks, context)
     names = model._block_names()
@@ -210,24 +150,24 @@ def test_dropout_prefix_memo_reproduces_scratch_forward_bit_for_bit(grid, n_bloc
     reused = 0
     for seed in range(8):
         kept = all_keep_prefix(model, rate, seed)
-        reach = names[1:-1][:kept] + (["head"] if kept == len(names) else [])
-        before = model._prefix_memo
+        reach = [names[0], *names[1:-1][:kept]] + (["head"] if kept == len(names) else [])
+        before = model._memo
         held_before = before[3] if before else {}
         got = model.forward(img, dropout_rate=rate, seed=seed).data
         assert got.tobytes() == forward_from_scratch(model, img, rate, seed).tobytes(), seed
-        held = model._prefix_memo[3] if model._prefix_memo else {}
+        held = model._memo[3]
         # the memo holds every level an all-keep prefix has reached, read-only, and never recomputes one it holds
         expected.update(reach)
         assert set(held) == expected, seed
         assert all(not act.flags.writeable for act in held.values())
         assert all(held[name] is act for name, act in held_before.items()), seed
         if all(name in held_before for name in reach):
-            assert model._prefix_memo is before, seed
+            assert model._memo is before, seed
         reused += sum(name in held_before for name in reach)
     if rate == 1e-6:
-        assert expected == {*names[1:-1], "head"} and reused == 7 * len(expected)
+        assert expected == {names[0], *names[1:-1], "head"} and reused == 7 * len(expected)
     elif rate == 0.03:
-        assert reused > 0
+        assert reused > 7  # the first block on passes 1-7, and a deeper level at least once
 
 
 def test_dropout_prefix_memo_misses_after_parameter_replacement_rate_change_and_another_image():
@@ -235,44 +175,50 @@ def test_dropout_prefix_memo_misses_after_parameter_replacement_rate_change_and_
     other = Volume(np.random.default_rng(7).normal(size=img.dims))
     model.forward(img, dropout_rate=1e-6, seed=0)
 
-    def check_recorded(image, rate):
-        stale = model._prefix_memo
+    def check_recorded(image, rate, keeps_first):
+        stale = model._memo
         got = model.forward(image, dropout_rate=rate, seed=1).data
         assert got.tobytes() == forward_from_scratch(model, image, rate, 1).tobytes()
-        assert model._prefix_memo is not stale and set(model._prefix_memo[3]) == {"bot", "head"}
-        assert all(model._prefix_memo[3][name] is not act for name, act in stale[3].items())
+        memo = model._memo
+        assert memo is not stale and set(memo[3]) == {"enc0", "bot", "head"}
+        # the first block comes before every mask, so only a rate change keeps its activation
+        for name, act in stale[3].items():
+            assert (memo[3][name] is act) == (keeps_first and name == "enc0"), name
 
-    # bot's weights are past the first block, so only the prefix memo can go stale
     model.params["bot.W"] = model.params["bot.W"] * np.float32(0.5)
-    check_recorded(img, 1e-6)
-    check_recorded(img, 1e-4)
-    check_recorded(other, 1e-4)
+    check_recorded(img, 1e-6, False)
+    model.params["enc0.W"] = model.params["enc0.W"] * np.float32(0.5)
+    check_recorded(img, 1e-6, False)
+    check_recorded(img, 1e-4, True)
+    check_recorded(other, 1e-4, False)
 
 
 def test_deterministic_forwards_leave_the_prefix_memo_alone():
     model, img = chunk_test_model(32, 16, 2, 2)
     other = Volume(np.random.default_rng(7).normal(size=img.dims))
     model.forward(img)
-    assert model._prefix_memo is None
+    assert model._memo is None
     model.forward(img, dropout_rate=1e-6, seed=0)
-    memo = model._prefix_memo
-    assert set(memo[3]) == {"bot", "head"}
+    memo = model._memo
+    assert set(memo[3]) == {"enc0", "bot", "head"}
     model.forward(img)
     model.forward(other, dropout_rate=0.0, seed=5)
-    assert model._prefix_memo is memo
+    assert model._memo is memo
 
 
 def test_dropout_prefix_memo_under_thread_contention():
-    # threads alternate two rates, so the one-entry memo is replaced while others read it
+    # threads alternate two images and two rates, so the one-entry memo is replaced while others read it
     model, img = chunk_test_model(32, 16, 2, 2)
-    jobs = [((1e-6, 0.03)[seed % 2], seed) for seed in range(24)]
-    want = {job: forward_from_scratch(model, img, *job).tobytes() for job in jobs}
+    images = (img, Volume(np.random.default_rng(7).normal(size=img.dims)))
+    jobs = [(seed % 2, (1e-6, 0.03)[seed // 2 % 2], seed) for seed in range(24)]
+    want = {job: forward_from_scratch(model, images[job[0]], *job[1:]).tobytes() for job in jobs}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             got = dict(zip(jobs, pool.map(
-                lambda job: model.forward(img, dropout_rate=job[0], seed=job[1]).data.tobytes(), jobs, timeout=120)))
+                lambda job: model.forward(images[job[0]], dropout_rate=job[1], seed=job[2]).data.tobytes(),
+                jobs, timeout=120)))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -286,7 +232,7 @@ def test_cached_forward_is_one_whole_stack_chunk(n_blocks, dtype):
     params = {k: v.astype(dtype) for k, v in model.params.items()}
     x = model._stack_slices(img, dtype=dtype)
     got_cache: list = []
-    got = model._forward_slices(x, params, 0.0, None, got_cache)
+    got = model._forward_slices(x, params, cache=got_cache)
     want, want_cache = oracles.whole_stack_forward(model, x, params, 0.0, None, True)
     assert got.tobytes() == want.tobytes()
     assert [e["name"] for e in got_cache] == [e["name"] for e in want_cache]
@@ -309,15 +255,13 @@ def test_chunk_size_follows_the_input():
                                         (0.03, "all-hit")])
 def test_inference_forward_memory_is_bounded(rate, memo):
     # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB.
-    # "record" misses the first block and records bot and the logits; "all-hit" takes the logits from the memo
+    # "record" misses the memo and records enc0, bot and the logits; "all-hit" takes the logits from the memo
     model, img = chunk_test_model(64, 32, 2, 2)
     seeds = (2, 4) if memo in ("record", "all-hit") else (0, 1)  # 2 and 4 keep every channel at 0.03
     model.forward(img, dropout_rate=rate, seed=seeds[0])
     if memo in ("miss", "record"):
-        model._first_memo = None
-    if memo == "record":
-        model._prefix_memo = None
-    held = model._prefix_memo
+        model._memo = None
+    held = model._memo
     tracemalloc.start()
     try:
         model.forward(img, dropout_rate=rate, seed=seeds[1])
@@ -326,8 +270,8 @@ def test_inference_forward_memory_is_bounded(rate, memo):
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
     if memo in ("record", "all-hit"):
-        assert set(model._prefix_memo[3]) == {"bot", "head"}
-        assert (model._prefix_memo is held) == (memo == "all-hit")
+        assert set(model._memo[3]) == {"enc0", "bot", "head"}
+        assert (model._memo is held) == (memo == "all-hit")
 
 
 def test_forward_dims_validation():
@@ -617,7 +561,7 @@ def test_gradient_zero_weights_zero_input_first_layer():
     params64 = {k: v.astype(np.float64) for k, v in model.params.items()}
     x = model._stack_slices(img, dtype=np.float64)
     cache: list = []
-    logits = model._forward_slices(x, params64, 0.0, None, cache)
+    logits = model._forward_slices(x, params64, cache=cache)
     _, dlogits = _loss_and_grad_wrt_logits(logits, _label_batch(lab), 0.3, 0.7)
     grads = model._backward_slices(dlogits, params64, cache)
     # first-layer weights multiply the zero input, so their gradient is exactly 0
