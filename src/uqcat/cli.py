@@ -290,6 +290,8 @@ def cmd_analyze(maps: Path, out: Path) -> int:
     for sid in subjects:
         if sorted(found[sid]) != case_ids:
             raise UsageError(f"subject {sid} has cases {sorted(found[sid])}, expected {case_ids}")
+    if len(case_ids) < 2:
+        raise UsageError(f"{maps} holds maps of case {case_ids[0]} only; analyze needs >= 2 cases")
     out.mkdir(parents=True, exist_ok=True)
 
     written: list[str] = []

@@ -8,6 +8,7 @@ so cohorts regenerate bit-identically from a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +44,8 @@ class PhantomSpec:
         lo, hi = self.radius_range
         if not (0 < lo <= hi):
             raise VolumeError(f"radius range must be positive and ordered, got {self.radius_range}")
-        if any(2 * hi + 1 >= d for d in self.dims):
+        # _place_center keeps a margin of ceil(radius) voxels on each side
+        if not math.isfinite(hi) or any(2 * math.ceil(hi) >= d for d in self.dims):
             raise VolumeError(f"max radius {hi} does not fit inside dims {self.dims}")
         if self.noise_std < 0:
             raise VolumeError(f"noise std must be >= 0, got {self.noise_std}")
@@ -62,10 +64,8 @@ def _ellipsoid_bits(dims: tuple[int, int, int], center: np.ndarray, radii: np.nd
 
 
 def _place_center(rng: np.random.Generator, dims, radii) -> np.ndarray:
-    """Integer lattice center such that the ellipsoid fits fully inside."""
+    """Integer lattice center such that the ellipsoid fits fully inside (:class:`PhantomSpec` checks it can)."""
     margins = np.ceil(radii).astype(int)
-    if any(d - m <= m for m, d in zip(margins, dims)):
-        raise PlacementError(f"lesion of radii {radii} cannot fit inside {dims}")
     return np.array([int(rng.integers(m, d - m)) for m, d in zip(margins, dims)])
 
 

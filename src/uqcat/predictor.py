@@ -88,15 +88,20 @@ than from memory.  A chunk holds as many slices as fit one
 (at least one); for the default network in float32 that is 3 slices at
 32x32, 1 at 64x64 and a whole 16x16x8 stack.  Passes that keep backward
 state (training, :func:`gradient_check`) run their batch as one chunk.
-A pass draws all its dropout masks before the first chunk, in block
-order, which is the stream the per-block draws took.  A shared activation
-is computed over the same chunks and sliced per chunk, and a block that
-takes one skips building its pooling, upsampling or concat input.  Each
-3x3 conv is one gemm per slice and the other layers are elementwise, so
-their bits do not depend on the chunking; the 1x1 head's einsum does
-depend on the batch size in float32, so the head runs once on a
-preallocated stack of the chunks' outputs, which the last decoder block
-writes its softplus, or its dropout product, straight into.
+The input is a read-only view over one copy of the volume, edge-padded
+along z, whose slice context is never copied per channel.  A pass draws
+all its dropout masks before the first chunk, in block order, which is
+the stream the per-block draws took.  Every block, the first included,
+is computed only in this loop: a recorded activation is written chunk
+by chunk into a whole-stack buffer, and a block that shares one takes
+the chunk's slice and skips building its input (pooling, upsampling,
+concat, or the first block's slice context, so a pass that shares the
+first block builds no input).  Each 3x3 conv is one gemm per slice and
+the other layers are elementwise, so their bits do not depend on the
+chunking; the 1x1 head's einsum does depend on the batch size in
+float32, so the head runs once on a preallocated stack of the chunks'
+outputs, which the last decoder block writes its softplus, or its
+dropout product, straight into.
 """
 
 from __future__ import annotations
@@ -479,11 +484,14 @@ class TinySegmenter:
         every channel.  Training and :meth:`load` replace parameter arrays
         rather than writing into them, so a parameter change misses the
         memo, and a miss on the image or the parameters drops it before the
-        pass computes.  A pass records each such activation it computes and
-        the memo lacks, and publishes the memo as one tuple, so concurrent
-        passes see either entry, never a mix.  The masks are drawn from
-        ``rng`` in block order either way, so the outputs are those of a
-        memo-free pass.
+        pass computes.  The input is the read-only view over one edge-padded
+        copy of ``v`` (:meth:`_stack_slices`), or the held first-block
+        activation, so a hit builds no input.  A pass records each such
+        activation it computes and the memo lacks, the first block's too,
+        in :meth:`_forward_slices`'s chunk loop, and publishes the memo as
+        one tuple, so concurrent passes see either entry, never a mix.  The
+        masks are drawn from ``rng`` in block order either way, so the
+        outputs are those of a memo-free pass.
         """
         params = self.params
         names = self._block_names()
@@ -499,13 +507,10 @@ class TinySegmenter:
             memo = self._memo = None  # a stale entry is freed before this pass computes its own
         if kept == len(names) and "head" in held:
             return held["head"]
-        record = {}
-        x = held.get(names[0])
-        if x is None:
-            x = record[names[0]] = self._first_activation(v)
+        x = held[names[0]] if names[0] in held else self._stack_slices(v)
         n, _, hgt, wid = x.shape
-        shared = {names[0]: x}
-        for j, name in enumerate(names[1:-1][:kept], start=1):
+        shared, record = {}, {}
+        for j, name in enumerate([names[0], *names[1:-1][:kept]]):
             if name in held:
                 shared[name] = held[name]
             else:
@@ -520,19 +525,12 @@ class TinySegmenter:
             self._memo = (v, arrays, rate, {**held, **record})
         return logits
 
-    def _first_activation(self, v: Volume) -> np.ndarray:
-        """Softplus activation of the first block for ``v``, before dropout, computed over slice chunks."""
-        name = self._block_names()[0]
-        w, b = self.params[f"{name}.W"], self.params[f"{name}.b"]
-        x = self._stack_slices(v)
-        step = self._chunk_slices(x)
-        act = np.empty((len(x), w.shape[0], *x.shape[2:]), dtype=x.dtype)
-        for s in range(0, len(x), step):
-            _softplus(_conv3(x[s : s + step], w, b), out=act[s : s + step])
-        return act
-
     def _stack_slices(self, v: Volume, dtype=np.float32) -> np.ndarray:
-        """(nz, channels, nx, ny) input with replicate-padded slice context."""
+        """(nz, channels, nx, ny) input with replicate-padded slice context, as a read-only view.
+
+        A (2c+1)-slice window slides along z over one copy of ``v`` edge-padded
+        by c slices, so channel k of slice z is slice clip(z + k - c, 0, nz - 1).
+        """
         nx, ny, nz = v.dims
         divisor = 2 ** (self.config.n_blocks - 1)
         if nx % divisor or ny % divisor:
@@ -540,11 +538,8 @@ class TinySegmenter:
                 f"in-plane dims {(nx, ny)} must be divisible by {divisor} for {self.config.n_blocks} blocks"
             )
         ctx = self.config.context_slices
-        x = np.empty((nz, self.config.in_channels, nx, ny), dtype=dtype)
-        for c, off in enumerate(range(-ctx, ctx + 1)):
-            zidx = np.clip(np.arange(nz) + off, 0, nz - 1)
-            x[:, c] = np.moveaxis(v.data[:, :, zidx], 2, 0)
-        return x
+        padded = np.pad(v.data.astype(dtype, copy=False), ((0, 0), (0, 0), (ctx, ctx)), mode="edge")
+        return np.lib.stride_tricks.sliding_window_view(padded, 2 * ctx + 1, axis=2).transpose(2, 3, 0, 1)
 
     def _forward_slices(self, x, params, scales=None, cache=None, shared=None, record=None):
         """Logits (B, 1, H, W) for a slice batch ``x``, each block's output times its multiplier in ``scales``.

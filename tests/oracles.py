@@ -14,9 +14,10 @@ BLAS-direct 3x3 kernels that add each tap's product window by window.
 They make the same BLAS calls as the library's kernels on any BLAS core,
 so the library must match them bit for bit on every core, including
 those where the einsum bodies sum in another order.  The same holds for
-:func:`resample_at` and :func:`whole_stack_median_iqr`, the library's
-earlier full-size bodies of affine resampling and of the voxelwise
-median/IQR, which the memory-bounded bodies must reproduce bit for bit.
+:func:`stack_slices`, :func:`resample_at` and :func:`whole_stack_median_iqr`,
+the library's earlier full-size bodies of the slice-context input, of
+affine resampling and of the voxelwise median/IQR, which the view and
+the memory-bounded bodies must reproduce bit for bit.
 """
 
 import math
@@ -460,6 +461,16 @@ def softplus(x):
 # --------------------------------------------------------------------------
 # segmenter forward
 # --------------------------------------------------------------------------
+
+def stack_slices(v: Volume, context: int, dtype) -> np.ndarray:
+    """(nz, 2*context+1, nx, ny) slice-context input, gathered channel by channel with clamped z indices."""
+    nx, ny, nz = v.dims
+    x = np.empty((nz, 2 * context + 1, nx, ny), dtype=dtype)
+    for c, off in enumerate(range(-context, context + 1)):
+        zidx = np.clip(np.arange(nz) + off, 0, nz - 1)
+        x[:, c] = np.moveaxis(v.data[:, :, zidx], 2, 0)
+    return x
+
 
 def whole_stack_forward(model, x, params, rate, rng, want_cache):
     """``TinySegmenter._forward_slices`` with every layer over the whole slice stack.

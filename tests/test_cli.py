@@ -178,6 +178,19 @@ def test_analyze_mismatched_cases_exit_2_before_output(small_run, tmp_path, caps
     assert not out.exists()
 
 
+def test_analyze_single_case_maps_exit_2_before_output(small_run, tmp_path, capsys):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for sid in (0, 1):
+        for suffix in ("ent.vvol", "ent.vvol.json"):
+            name = f"sub-{sid}_case-2_{suffix}"
+            (maps / name).write_bytes((small_run / "maps" / name).read_bytes())
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--maps", str(maps), "--out", str(out)]) == 2
+    assert "maps of case 2 only; analyze needs >= 2 cases" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_reads_only_canonical_ids(small_run, tmp_path):
     # zero-padded ids name no subject or case; read as integers they would shadow sub-1 and case 7 and add a sub-2
     clean, decoyed = tmp_path / "clean", tmp_path / "decoyed"
@@ -353,8 +366,8 @@ def test_pipeline_missing_config_file(tmp_path):
 
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     cfg = pipeline_config()
-    # the spec accepts radius 2.2 in 6 voxels, lesion placement needs 2 * ceil(2.2) < 6
-    cfg["phantom"].update(dims=[6, 6, 6], radius=[2.2, 2.2])
+    # the main lesion fits, but its satellite, 5.2 voxels from a center in [2, 4]^3, cannot land in [2, 4]^3
+    cfg["phantom"].update(dims=[7, 7, 7], radius=[2, 2], satellite=True)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
@@ -363,8 +376,8 @@ def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
 
 def test_pipeline_phantom_failure_leaves_no_out(tmp_path, capsys):
     cfg = pipeline_config()
-    # the spec accepts radius 2.2 in 6 voxels, lesion placement needs 2 * ceil(2.2) < 6
-    cfg["phantom"].update(dims=[6, 6, 6], radius=[2.2, 2.2])
+    # the main lesion fits, but its satellite, 5.2 voxels from a center in [2, 4]^3, cannot land in [2, 4]^3
+    cfg["phantom"].update(dims=[7, 7, 7], radius=[2, 2], satellite=True)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -480,13 +493,15 @@ def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, mo
     ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [5, 3]}}, "radius range"),
     ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "lesions": 0}}, "at least one lesion"),
     ({"phantom": {"subjects": 2, "dims": [8, 8, 8]}}, "does not fit inside dims"),
+    ({"phantom": {"subjects": 2, "dims": [6, 6, 6], "radius": [2.2, 2.2]}}, "does not fit inside dims"),
     ({"phantom": {"subjects": 0, "dims": [16, 16, 8], "radius": [1.5, 2.5]}}, "phantom.subjects must be >= 1"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
         "one-case", "one-distinct-case", "repeated-case", "seed-bool", "seed-float", "subjects-bool", "dims-float",
         "lesions-float", "satellite-string", "satellite-int", "epochs-float", "holdout-bool", "samples-float",
         "binarize-string", "binarize-int", "noise-string", "noise-bool", "radius-bool-and-string", "holdout-negative",
-        "noise-negative", "radius-unordered", "lesions-zero", "radius-does-not-fit", "subjects-zero"])
+        "noise-negative", "radius-unordered", "lesions-zero", "radius-does-not-fit", "radius-ceil-does-not-fit",
+        "subjects-zero"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))

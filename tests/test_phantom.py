@@ -85,8 +85,18 @@ def test_spec_validation():
     with pytest.raises(VolumeError):
         PhantomSpec(dims=(8, 8, 8), radius_range=(4.0, 4.0))  # does not fit
     with pytest.raises(VolumeError):
+        PhantomSpec(dims=(6, 6, 6), radius_range=(2.2, 2.2))  # a margin of ceil(2.2) = 3 leaves no center
+    with pytest.raises(VolumeError):
         PhantomSpec(noise_std=-0.1)
     with pytest.raises(VolumeError):
         PhantomSpec(n_lesions=0)
     with pytest.raises(VolumeError):
         generate_cohort(PhantomSpec(), 0)
+
+
+def test_spec_accepts_every_radius_placement_fits():
+    # a margin of ceil(3) = 3 voxels on each side leaves the one center 3 in 7 voxels
+    spec = PhantomSpec(dims=(7, 7, 7), radius_range=(3.0, 3.0), noise_std=0.0, seed=0)
+    _, lab = generate_phantom(spec)
+    assert int(lab.data.sum()) == oracles.ball_count(3.0)
+    assert lab.data[3, 3, 3] == 1.0

@@ -296,17 +296,23 @@ def test_higher_dropout_disrupts_more(trained_model, small_cohort):
     assert mad[0.40] > mad[0.03]
 
 
-def test_context_channels_replicate_at_edges():
-    img, _ = small_phantom()
-    model = TinySegmenter(PredictorConfig(context_slices=2), seed=0)
-    x = model._stack_slices(img)
-    # slice 0: context channels below the volume clamp to slice 0
-    assert np.array_equal(x[0, 0], x[0, 2])
-    assert np.array_equal(x[0, 1], x[0, 2])
-    assert np.array_equal(x[0, 2], img.data[:, :, 0])
-    nz = img.dims[2]
-    assert np.array_equal(x[nz - 1, 4], img.data[:, :, nz - 1])
-    assert np.array_equal(x[nz - 1, 3], img.data[:, :, nz - 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nz", [1, 2, 5, 16])
+@pytest.mark.parametrize("context", [0, 1, 2, 3])
+def test_context_channels_replicate_at_edges(context, nz, dtype):
+    # at nz <= context the window reaches past both ends of the stack at once
+    img = Volume(np.random.default_rng([context, nz]).normal(size=(8, 6, nz)))
+    model = TinySegmenter(PredictorConfig(context_slices=context), seed=0)
+    x = model._stack_slices(img, dtype=dtype)
+    want = oracles.stack_slices(img, context, dtype)
+    assert x.shape == want.shape and x.dtype == want.dtype
+    assert x.tobytes() == want.tobytes()
+    # context channels past either end clamp to the end slice
+    for c in range(context + 1):
+        assert np.array_equal(x[0, c], img.data[:, :, 0].astype(dtype))
+        assert np.array_equal(x[nz - 1, 2 * context - c], img.data[:, :, nz - 1].astype(dtype))
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0, 0, 0] = 1.0
 
 
 def test_expectation_consistency_with_sample_count(trained_model):
