@@ -292,20 +292,23 @@ def cmd_analyze(maps: Path, out: Path) -> int:
             raise UsageError(f"subject {sid} has cases {sorted(found[sid])}, expected {case_ids}")
     if len(case_ids) < 2:
         raise UsageError(f"{maps} holds maps of case {case_ids[0]} only; analyze needs >= 2 cases")
-    out.mkdir(parents=True, exist_ok=True)
-
-    written: list[str] = []
-    matrices: list[analysis.CorrelationMatrix] = []
+    # every subject is analyzed before --out exists, so a failing subject leaves no partial tree
+    results = []
     summary = ["subject,case,mean_nonzero_entropy,count"]
     for sid in subjects:
         ent_maps = {cid: read_volume(found[sid][cid]) for cid in case_ids}
         median, iqr = analysis.voxelwise_median_iqr([ent_maps[c] for c in case_ids])
         mask = analysis.entropy_support_mask(median)
         matrix = analysis.correlation_matrix(ent_maps, mask, subject=sid)
-        matrices.append(matrix)
         for cid in case_ids:
             mean_nz, count = analysis.mean_nonzero_entropy(ent_maps[cid])
             summary.append(f"{sid},{cid},{_fmt(mean_nz)},{count}")
+        results.append((sid, median, iqr, mask, matrix))
+    mean_matrix = analysis.mean_correlation_matrix([matrix for *_, matrix in results])
+
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[str] = []
+    for sid, median, iqr, mask, matrix in results:
         for name, vol in (
             (f"median_ent_sub-{sid}.vvol", median),
             (f"iqr_ent_sub-{sid}.vvol", iqr),
@@ -315,7 +318,6 @@ def cmd_analyze(maps: Path, out: Path) -> int:
         _write_matrix_csv(out / f"corr_sub-{sid}.csv", matrix)
         written.append(f"corr_sub-{sid}.csv")
 
-    mean_matrix = analysis.mean_correlation_matrix(matrices)
     _write_matrix_csv(out / "corr_mean.csv", mean_matrix)
     written.append("corr_mean.csv")
 

@@ -45,11 +45,26 @@ are the window form's.  The other positions, the last two rows and
 columns of each plane, are scratch: they may mix in the next plane and are
 never read.  Only the whole-batch add is fast.  Slicing it per plane
 (``acc[:, :, :n]``) was slower than the strided window adds it replaces,
-which numpy runs as thousands of W-float rows.  The backward pass
-computes dx one slice at a time, the per-slice gemm that numpy's batched
-matmul makes, into one reused (C, H*W) buffer added to that slice's padded
-dx, so the slice's dx stays in cache across its nine taps.  The tests
-hold both kernels bit for bit to the window-add forms they replace
+which numpy runs as thousands of W-float rows.
+
+The backward pass pads and copies no window either.  In flat (B*H*W)
+order tap (di, dj) reads input pixel t + off for output pixel t, with
+``off = (di-1)*W + (dj-1)``.  dw's left operand is a view, shifted by
+off, of one transposed copy of the input with W+1 zero columns on each
+side, and the gradient matrix's rows for the output pixels whose read
+crosses an image edge (row 0 for di=0, row H-1 for di=2, column 0 for
+dj=0, column W-1 for dj=2) are zeroed for that tap's product: the terms
+that differ from the padded window form's are exact zeros on both sides
+for a finite input, in the same gemm.  That matrix is a private copy of
+``dout.transpose(0, 2, 3, 1).reshape(-1, F)`` in the layout of the
+reshape (``copy(order="K")``), because at B=1 the reshape is an F-ordered
+view whose layout selects the BLAS transpose path; a C-ordered copy
+changes dw's bits.  dx runs one slice at a time, the per-slice gemm that
+numpy's batched matmul makes, into one reused (C, H*W) buffer whose
+column that would wrap to the next or previous row is zeroed; the buffer
+is added to the slice's dense dx as one 2-D slice shifted by off, and
+rows shifted out of the image fall outside the slice.  The tests hold
+both kernels bit for bit to the window-add forms they replace
 (``tests/oracles.py``), on any BLAS kernel, since both make the same
 BLAS calls.
 
@@ -290,32 +305,59 @@ def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """(dx, dw, db) of :func:`_conv3`.
+    """(dx, dw, db) of :func:`_conv3`; writes none of its arguments.
 
+    The taps are shifted by the flat offset ``off`` of the module docstring.
     dw multiplies (C, B*H*W) by (B*H*W, F) and transposes the result: this
     operand order fixes the float32 summation order of the long B*H*W sum.
-    dx runs one slice at a time, the per-slice gemm that a batched matmul
-    makes, into one reused (C, H*W) buffer, so a slice's padded dx stays
-    in cache while its nine taps are added.
+    The gradient matrix's edge rows are zeroed for each tap and restored
+    from ``dout``; its layout is the reshape's, F-ordered at B=1, where a
+    C-ordered copy would select another BLAS path and other bits.  dw's
+    buffers are freed before dx is allocated, which keeps the peak under
+    twice the size of x.  dx adds the taps in the window form's order, and
+    a zeroed column adds +0.0 to a sum that started at +0.0, which changes
+    no bit.
     """
     bsz, c, h, wd = x.shape
     f = w.shape[0]
-    xt = _pad1(x.transpose(1, 0, 2, 3))  # (C, B, H+2, W+2)
-    dmat = dout.transpose(0, 2, 3, 1).reshape(-1, f)
+    hw = h * wd
+    n, m = bsz * hw, wd + 1
+    xf = np.empty((c, n + 2 * m), dtype=x.dtype)
+    xf[:, :m] = 0
+    xf[:, m + n :] = 0
+    xf[:, m : m + n].reshape(c, bsz, h, wd)[...] = x.transpose(1, 0, 2, 3)
+    dt = dout.transpose(0, 2, 3, 1)  # (B, H, W, F)
+    dmat = dt.reshape(-1, f).copy(order="K")
+    d4 = dmat.reshape(bsz, h, wd, f)
+    rows = {0: np.s_[:, 0], 2: np.s_[:, h - 1]}
+    cols = {0: np.s_[:, :, 0], 2: np.s_[:, :, wd - 1]}  # axis 2 is W in (B, H, W, F) and in (C, H, W)
     dw = np.empty_like(w)
     for di in range(3):
         for dj in range(3):
-            dw[:, :, di, dj] = (xt[:, :, di : di + h, dj : dj + wd].reshape(c, -1) @ dmat).T
-    d3 = dout.reshape(bsz, f, h * wd)
-    dxp = np.zeros((bsz, c, h + 2, wd + 2), dtype=x.dtype)
-    prod = np.empty((c, h * wd), dtype=x.dtype)
+            edges = [e for e in (rows.get(di), cols.get(dj)) if e is not None]
+            for e in edges:
+                d4[e] = 0
+            off = (di - 1) * wd + (dj - 1)
+            dw[:, :, di, dj] = (xf[:, m + off : m + off + n] @ dmat).T
+            for e in edges:
+                d4[e] = dt[e]
+    del xf, dmat, d4
+    d3 = dout.reshape(bsz, f, hw)
+    dx = np.zeros((bsz, c, hw), dtype=x.dtype)
+    prod = np.empty((c, hw), dtype=x.dtype)
     window = prod.reshape(c, h, wd)
     for k in range(bsz):
         for di in range(3):
             for dj in range(3):
+                off = (di - 1) * wd + (dj - 1)
+                if abs(off) >= hw:
+                    continue
                 np.matmul(w[:, :, di, dj].T, d3[k], out=prod)
-                dxp[k, :, di : di + h, dj : dj + wd] += window
-    return dxp[:, :, 1:-1, 1:-1], dw, dout.sum(axis=(0, 2, 3))
+                if dj in cols:
+                    window[cols[dj]] = 0
+                lo, hi = max(off, 0), hw + min(off, 0)
+                dx[k, :, lo:hi] += prod[:, lo - off : hi - off]
+    return dx.reshape(bsz, c, h, wd), dw, dout.sum(axis=(0, 2, 3))
 
 
 def _conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

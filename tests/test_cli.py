@@ -191,6 +191,22 @@ def test_analyze_single_case_maps_exit_2_before_output(small_run, tmp_path, caps
     assert not out.exists()
 
 
+def test_analyze_failing_subject_leaves_no_output(small_run, tmp_path, capsys):
+    # subject 0 analyzes cleanly; subject 1's all-zero entropy maps have an empty support mask
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for cid in (1, 2, 7):
+        for suffix in ("ent.vvol", "ent.vvol.json"):
+            name = f"sub-0_case-{cid}_{suffix}"
+            (maps / name).write_bytes((small_run / "maps" / name).read_bytes())
+        ent = read_volume(small_run / "maps" / f"sub-1_case-{cid}_ent.vvol")
+        write_volume(Volume(np.zeros_like(ent.data), ent.spacing), maps / f"sub-1_case-{cid}_ent.vvol")
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--maps", str(maps), "--out", str(out)]) == 1
+    assert "entropy support mask is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_reads_only_canonical_ids(small_run, tmp_path):
     # zero-padded ids name no subject or case; read as integers they would shadow sub-1 and case 7 and add a sub-2
     clean, decoyed = tmp_path / "clean", tmp_path / "decoyed"

@@ -478,13 +478,43 @@ def test_conv3_reproduces_window_add_kernels_bit_for_bit(layer, grid, batch, dty
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(3, 5, 8, 2, 2), (4, 24, 8, 2, 6), (2, 8, 16, 6, 10), (1, 1, 1, 6, 10)],
-                         ids=["2x2", "2x6", "6x10", "one-channel"])
+@pytest.mark.parametrize("shape", [(3, 5, 8, 2, 2), (4, 24, 8, 2, 6), (2, 8, 16, 6, 10), (1, 1, 1, 6, 10),
+                                   (2, 5, 8, 1, 7), (3, 4, 6, 7, 1), (2, 5, 8, 1, 1)],
+                         ids=["2x2", "2x6", "6x10", "one-channel", "1x7", "7x1", "1x1"])
 def test_conv3_window_kernels_at_small_and_non_square_grids(shape, dtype):
+    # on a 1-pixel axis some taps shift by at least a whole slice and reach no pixel of it
     rng = np.random.default_rng(list(shape))
     x, w, b, dout = conv3_operands(rng, *shape, dtype)
     assert_conv3_matches_window_kernels(x, w, b, dout)
     assert_conv3_matches_window_kernels(x.transpose(0, 1, 3, 2), w, b, dout.transpose(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("bsz", [1, 4])
+def test_conv3_backward_writes_none_of_its_inputs(bsz):
+    # at B=1 the gradient matrix reshaped from dout is a view of dout, whose edge rows dw zeroes per tap
+    rng = np.random.default_rng([bsz, 3])
+    x, w, _, dout = conv3_operands(rng, bsz, 6, 8, 8, 10, np.float32)
+    before = [a.tobytes() for a in (x, w, dout)]
+    for a in (x, w, dout):
+        a.flags.writeable = False
+    got = predictor._conv3_backward(dout, x, w)
+    assert [a.tobytes() for a in (x, w, dout)] == before
+    for name, g, e in zip(("dx", "dw", "db"), got, oracles.window_conv3_backward(dout, x, w)):
+        assert_same_bits(g, e, name)
+
+
+def test_conv3_backward_memory_is_bounded():
+    # a padded transposed copy, nine window copies and a padded dx peaked at 2.76x the input here
+    f, c, _, _ = TinySegmenter().params["dec0.W"].shape
+    rng = np.random.default_rng(11)
+    x, w, _, dout = conv3_operands(rng, TrainConfig.batch_slices, c, f, 64, 64, np.float32)
+    tracemalloc.start()
+    try:
+        predictor._conv3_backward(dout, x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes, (peak, x.nbytes)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2, 2), (2, 3, 6, 2), (2, 3, 2, 6), (1, 1, 4, 4)])
