@@ -45,7 +45,6 @@ from .augment import (
 from .phantom import PhantomSpec, PlacementError, generate_cohort, generate_phantom
 from .predictor import (
     Predictor,
-    PredictorConfig,
     PredictorError,
     TinySegmenter,
     TrainConfig,

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__, analysis, augment
 from .phantom import PhantomSpec, generate_cohort
-from .predictor import PredictorConfig, PredictorError, TinySegmenter, TrainConfig, dice_score, train
+from .predictor import PredictorError, TinySegmenter, TrainConfig, dice_score, train
 from .seeding import derive_seed
 from .uq import CASES, CaseError, get_case, parse_case_selection, run_case, uncertainty_maps
 from .volume import Volume, VolumeError, read_volume, write_volume
@@ -192,7 +192,7 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
     train_set = cohort[: len(cohort) - holdout] if holdout else cohort
     val_set = cohort[len(cohort) - holdout :] if holdout else None
 
-    model = TinySegmenter(PredictorConfig(), seed=seed)
+    model = TinySegmenter(seed=seed)
     history = train(model, train_set, cfg, val_cohort=val_set)
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
@@ -464,6 +464,8 @@ def _stage_args(cfg: dict) -> tuple[dict, dict | None, dict]:
                         satellite=_json_value("phantom.satellite", phantom["satellite"], bool))
     if phantom_args["subjects"] < 1:
         raise ValueError(f"phantom.subjects must be >= 1, got {phantom_args['subjects']}")
+    if x % 2 or y % 2:  # the segmenter pools each slice 2x2
+        raise ValueError(f"phantom.dims in-plane size {(x, y)} must be even for the segmenter")
     # rejects the lesion count, radius range, noise and dims that cmd_phantom's spec would
     PhantomSpec(dims=(x, y, z), n_lesions=phantom_args["lesions"], radius_range=(lo, hi),
                 noise_std=phantom_args["noise"])

@@ -1,11 +1,12 @@
 """Tiny trainable slice-context segmenter with hand-rolled gradients.
 
-The network is a small 2-D encoder-decoder applied to axial slices, with a
-configurable number of adjacent slices on each side stacked as input
-channels.  Filters double per level (default 8 at the top), pooling is 2x2
-mean, upsampling is nearest-neighbour, and skip connections concatenate
-encoder features.  Stochasticity at inference time is channel dropout: each
-convolution block's output channels are zeroed independently with a global
+The network is one fixed two-level 2-D encoder-decoder applied to axial
+slices, with two adjacent slices on each side stacked as five input
+channels: a 3x3 block of 8 filters (enc0), 2x2 mean pooling, a 3x3
+bottleneck of 16 filters (bot), nearest-neighbour upsampling concatenated
+with enc0's output, a 3x3 block of 8 filters (dec0) and a 1x1 head, so
+in-plane sizes must be even.  Stochasticity at inference time is channel
+dropout: each convolution block's output channels are zeroed independently with a global
 probability and survivors are rescaled by 1/(1-rate); one mask per block is
 drawn per forward pass and shared across slices, so a pass behaves like one
 sampled network.
@@ -78,45 +79,41 @@ straight into the concat buffer with the skip copied in after it, and
 softplus reuses one temporary.
 
 Test-time dropout passes share every all-keep mask prefix.  Every dropout
-pass of a case sees the same unperturbed image, and the first block's conv
-and softplus come before the first mask.  A mask that drops no channel
-scales every channel by the same 1/(1-rate), so a pass whose first k masks
-are all-keep gives blocks 1..k the same inputs as every other such pass; at
-rates of 0.03-0.15 an 8-channel mask drops nothing in 27-78% of draws.
-A one-entry memo, keyed by the image, every parameter array and the
-rate, keeps the activations these prefixes reach: the first block's, which
-survives a rate change, those of the blocks below full resolution, and the
-logits of a pass whose masks are all all-keep
-(:meth:`TinySegmenter._dropout_logits`).  Full-resolution decoder
-activations past the first block are not kept, so for the default network
-it holds the first block, the bottleneck and the logits, 4 + 2 + 0.5 MB at
-64x64x32.  Each pass still draws all its masks from its own generator in
-block order, and a shared activation holds the bits a memo-free pass
-computes, so the outputs are bit-identical to recomputing every block.
+pass of a case sees the same unperturbed image, and enc0's conv and
+softplus come before the first mask.  A mask that drops no channel scales
+every channel by the same 1/(1-rate), so a pass whose enc0 mask is all-keep
+gives bot the same input as every other such pass; at rates of 0.03-0.15
+an 8-channel mask drops nothing in 27-78% of draws.  A one-entry memo,
+keyed by the image, every parameter array and the rate, keeps the
+activations these prefixes reach: enc0's, which survives a rate change,
+bot's, and the logits of a pass whose masks are all all-keep
+(:meth:`TinySegmenter._dropout_logits`), 4 + 2 + 0.5 MB at 64x64x32.
+Each pass still draws all its masks from its own generator in block
+order, and a shared activation holds the bits a memo-free pass computes,
+so the outputs are bit-identical to recomputing every block.
 Passes without dropout (test-time augmentation, training, validation)
 never repeat an image and bypass the memo.
 
 Every pass runs the encoder-decoder in one loop over chunks of axial
 slices, so that each tap's conv product is read back from cache rather
 than from memory.  A chunk holds as many slices as fit one
-(F, (H+2)*(W+2)) product at the widest filter count into ``_CHUNK_BYTES``
-(at least one); for the default network in float32 that is 3 slices at
-32x32, 1 at 64x64 and a whole 16x16x8 stack.  Passes that keep backward
-state (training, :func:`gradient_check`) run their batch as one chunk.
+(16, (H+2)*(W+2)) product, at the bottleneck's filter count, into
+``_CHUNK_BYTES`` (at least one); in float32 that is 3 slices at 32x32, 1 at
+64x64 and a whole 16x16x8 stack.  Passes that keep backward state
+(training, :func:`gradient_check`) run their batch as one chunk.
 The input is a read-only view over one copy of the volume, edge-padded
 along z, whose slice context is never copied per channel.  A pass draws
 all its dropout masks before the first chunk, in block order, which is
 the stream the per-block draws took.  Every block, the first included,
 is computed only in this loop: a recorded activation is written chunk
 by chunk into a whole-stack buffer, and a block that shares one takes
-the chunk's slice and skips building its input (pooling, upsampling,
-concat, or the first block's slice context, so a pass that shares the
-first block builds no input).  Each 3x3 conv is one gemm per slice and
-the other layers are elementwise, so their bits do not depend on the
-chunking; the 1x1 head's einsum does depend on the batch size in
-float32, so the head runs once on a preallocated stack of the chunks'
-outputs, which the last decoder block writes its softplus, or its
-dropout product, straight into.
+the chunk's slice and skips building its input (bot's pooling, or enc0's
+slice context, so a pass that shares enc0 builds no input).  Each 3x3
+conv is one gemm per slice and the other layers are elementwise, so
+their bits do not depend on the chunking; the 1x1 head's einsum does
+depend on the batch size in float32, so the head runs once on a
+preallocated stack of the chunks' outputs, which dec0 writes its
+softplus, or its dropout product, straight into.
 """
 
 from __future__ import annotations
@@ -124,7 +121,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Protocol
 
@@ -155,21 +152,14 @@ class Predictor(Protocol):
 
 
 @dataclass(frozen=True)
-class PredictorConfig:
-    context_slices: int = 2   # input channels = 2*context_slices + 1
-    n_blocks: int = 2         # resolution levels (>= 1)
-    base_filters: int = 8     # filters at the top level, doubling per level
-    def __post_init__(self) -> None:
-        if self.context_slices < 0:
-            raise PredictorError(f"context_slices must be >= 0, got {self.context_slices}")
-        if self.n_blocks < 1:
-            raise PredictorError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.base_filters < 1:
-            raise PredictorError(f"base_filters must be >= 1, got {self.base_filters}")
+class _Architecture:
+    """The one network's settings, which a checkpoint header records and :meth:`TinySegmenter.load` requires."""
 
-    @property
-    def in_channels(self) -> int:
-        return 2 * self.context_slices + 1
+    context_slices: int = 2
+    n_blocks: int = 2
+    base_filters: int = 8
+
+    in_channels: ClassVar[int] = 5
 
 
 @dataclass(frozen=True)
@@ -455,31 +445,21 @@ def _softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # the segmenter
 # --------------------------------------------------------------------------
 
-def _param_shapes(config: PredictorConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter, in the order :func:`_init_params` draws them (4 per block)."""
-    shapes: dict[str, tuple[int, ...]] = {}
-
-    def add_conv(name: str, c_in: int, c_out: int, ksize: int) -> None:
-        shapes[f"{name}.W"] = (c_out, c_in, ksize, ksize)
-        shapes[f"{name}.b"] = (c_out,)
-
-    filters = [config.base_filters * 2**i for i in range(config.n_blocks)]
-    c_in = config.in_channels
-    for i in range(config.n_blocks - 1):
-        add_conv(f"enc{i}", c_in, filters[i], 3)
-        c_in = filters[i]
-    add_conv("bot", c_in, filters[-1], 3)
-    for i in reversed(range(config.n_blocks - 1)):
-        deeper = filters[i + 1]
-        add_conv(f"dec{i}", deeper + filters[i], filters[i], 3)
-    add_conv("head", filters[0], 1, 1)
-    return shapes
+# every parameter's shape, in the order :func:`_init_params` draws them; dec0 reads the 16 upsampled
+# bottleneck channels followed by enc0's 8
+_PARAM_SHAPES: dict[str, tuple[int, ...]] = {
+    "enc0.W": (8, 5, 3, 3), "enc0.b": (8,),
+    "bot.W": (16, 8, 3, 3), "bot.b": (16,),
+    "dec0.W": (8, 24, 3, 3), "dec0.b": (8,),
+    "head.W": (1, 8, 1, 1), "head.b": (1,),
+}
+_BLOCKS = ("enc0", "bot", "dec0")  # the 3x3 blocks in forward order, each with its own dropout mask
 
 
-def _init_params(config: PredictorConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
+def _init_params(rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
     """Uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
     params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape in _PARAM_SHAPES.items():
         if len(shape) == 1:
             params[name] = np.zeros(shape, dtype=dtype)
             continue
@@ -492,10 +472,11 @@ def _init_params(config: PredictorConfig, rng: np.random.Generator, dtype=np.flo
 class TinySegmenter:
     """Trainable 2.5-D slice-context segmenter; see the module docstring."""
 
-    def __init__(self, config: PredictorConfig | None = None, seed: int = 0):
-        self.config = config or PredictorConfig()
+    config: ClassVar[_Architecture] = _Architecture()
+
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.params = _init_params(self.config, derive_rng(self.seed, "init"))
+        self.params = _init_params(derive_rng(self.seed, "init"))
         # (volume, parameter arrays, rate, {block name: read-only activation}) of the last dropout passes
         self._memo: tuple | None = None
 
@@ -515,51 +496,49 @@ class TinySegmenter:
     def _dropout_logits(self, v: Volume, rate: float, rng: np.random.Generator) -> np.ndarray:
         """Logits of one dropout pass over ``v``, sharing what its all-keep mask prefix shares.
 
-        The first block comes before every mask, and if the first k masks
-        keep every channel, blocks 1..k get the same input too, on every
-        pass with the same image, rate and parameters.  A one-entry memo,
-        keyed by the identity of the image and of every parameter array
-        (which it holds, so their ids cannot be reused) and by the rate,
-        keeps these activations read-only: the first block's,
-        which does not depend on the rate and survives a rate change, those
-        below full resolution, and the logits of a pass whose masks all keep
+        enc0 comes before every mask, and if enc0's mask keeps every
+        channel, bot gets the same input too, on every pass with the same
+        image, rate and parameters.  A one-entry memo, keyed by the identity
+        of the image and of every parameter array (which it holds, so their
+        ids cannot be reused) and by the rate, keeps these activations
+        read-only: enc0's, which does not depend on the rate and survives a
+        rate change, bot's, and the logits of a pass whose masks all keep
         every channel.  Training and :meth:`load` replace parameter arrays
         rather than writing into them, so a parameter change misses the
         memo, and a miss on the image or the parameters drops it before the
         pass computes.  The input is the read-only view over one edge-padded
-        copy of ``v`` (:meth:`_stack_slices`), or the held first-block
+        copy of ``v`` (:meth:`_stack_slices`), or the held enc0
         activation, so a hit builds no input.  A pass records each such
-        activation it computes and the memo lacks, the first block's too,
-        in :meth:`_forward_slices`'s chunk loop, and publishes the memo as
+        activation it computes and the memo lacks, enc0's too, in
+        :meth:`_forward_slices`'s chunk loop, and publishes the memo as
         one tuple, so concurrent passes see either entry, never a mix.  The
         masks are drawn from ``rng`` in block order either way, so the
         outputs are those of a memo-free pass.
         """
         params = self.params
-        names = self._block_names()
-        scales = self._dropout_scales(params, rate, rng, np.float32)
-        kept = next((k for k, name in enumerate(names) if not scales[name].all()), len(names))
+        scales = self._dropout_scales(rate, rng, np.float32)
+        keeps = [bool(scales[name].all()) for name in _BLOCKS]
         arrays = tuple(params.values())
         memo = self._memo
         if (memo is not None and memo[0] is v and len(memo[1]) == len(arrays)
                 and all(a is b for a, b in zip(memo[1], arrays))):
-            held = memo[3] if memo[2] == rate else {names[0]: memo[3][names[0]]}
+            held = memo[3] if memo[2] == rate else {"enc0": memo[3]["enc0"]}
         else:
             held = {}
             memo = self._memo = None  # a stale entry is freed before this pass computes its own
-        if kept == len(names) and "head" in held:
+        if all(keeps) and "head" in held:
             return held["head"]
-        x = held[names[0]] if names[0] in held else self._stack_slices(v)
+        x = held["enc0"] if "enc0" in held else self._stack_slices(v)
         n, _, hgt, wid = x.shape
+        shapes = {"enc0": (n, 8, hgt, wid), "bot": (n, 16, hgt // 2, wid // 2)}
         shared, record = {}, {}
-        for j, name in enumerate([names[0], *names[1:-1][:kept]]):
+        for name in ("enc0", "bot") if keeps[0] else ("enc0",):
             if name in held:
                 shared[name] = held[name]
             else:
-                depth = min(j, len(names) - 1 - j)
-                record[name] = np.empty((n, params[f"{name}.W"].shape[0], hgt >> depth, wid >> depth), x.dtype)
+                record[name] = np.empty(shapes[name], x.dtype)
         logits = self._forward_slices(x, params, scales, shared=shared, record=record)
-        if kept == len(names):
+        if all(keeps):
             record["head"] = logits
         if record:
             for act in record.values():
@@ -568,78 +547,34 @@ class TinySegmenter:
         return logits
 
     def _stack_slices(self, v: Volume, dtype=np.float32) -> np.ndarray:
-        """(nz, channels, nx, ny) input with replicate-padded slice context, as a read-only view.
+        """(nz, 5, nx, ny) input with replicate-padded slice context, as a read-only view.
 
-        A (2c+1)-slice window slides along z over one copy of ``v`` edge-padded
-        by c slices, so channel k of slice z is slice clip(z + k - c, 0, nz - 1).
+        A 5-slice window slides along z over one copy of ``v`` edge-padded
+        by 2 slices, so channel k of slice z is slice clip(z + k - 2, 0, nz - 1).
         """
         nx, ny, nz = v.dims
-        divisor = 2 ** (self.config.n_blocks - 1)
-        if nx % divisor or ny % divisor:
-            raise PredictorError(
-                f"in-plane dims {(nx, ny)} must be divisible by {divisor} for {self.config.n_blocks} blocks"
-            )
-        ctx = self.config.context_slices
-        padded = np.pad(v.data.astype(dtype, copy=False), ((0, 0), (0, 0), (ctx, ctx)), mode="edge")
-        return np.lib.stride_tricks.sliding_window_view(padded, 2 * ctx + 1, axis=2).transpose(2, 3, 0, 1)
+        if nx % 2 or ny % 2:
+            raise PredictorError(f"in-plane dims {(nx, ny)} must be divisible by 2")
+        padded = np.pad(v.data.astype(dtype, copy=False), ((0, 0), (0, 0), (2, 2)), mode="edge")
+        return np.lib.stride_tricks.sliding_window_view(padded, 5, axis=2).transpose(2, 3, 0, 1)
 
     def _forward_slices(self, x, params, scales=None, cache=None, shared=None, record=None):
         """Logits (B, 1, H, W) for a slice batch ``x``, each block's output times its multiplier in ``scales``.
 
         Without ``scales`` the pass has no dropout.  The encoder-decoder runs
-        over chunks of slices into one preallocated top-level stack and the
-        head runs once over that stack (see the module docstring).  A
-        ``cache`` list, when given, receives the backward state, and the
+        over chunks of slices into one preallocated stack of dec0's outputs
+        and the head runs once over that stack (see the module docstring).
+        A ``cache`` list, when given, receives the backward state, and the
         batch is then one chunk.  ``shared`` maps a block name to its
-        whole-stack activation, which the block takes instead of computing
-        it; ``x`` is then only read by the blocks not found there.
-        ``record`` maps a block name to a whole-stack buffer that receives
-        its activation.
+        whole-stack activation, which the block takes for each chunk instead
+        of computing it, and whose input is never built; ``x`` is then only
+        read by the blocks not found there.  ``record`` maps a block name to
+        a whole-stack buffer that receives its activation chunk by chunk.
         """
         scales, shared, record = scales or {}, shared or {}, record or {}
-        n, _, hgt, wid = x.shape
-        step = n if cache is not None else self._chunk_slices(x)
-        top = np.empty((n, self.config.base_filters, hgt, wid), dtype=x.dtype)
-        for s in range(0, n, step):
-            chunk = slice(s, s + step)
-            self._encode_decode(x, chunk, params, scales, shared, record, cache, top[chunk])
-        logits = _conv1(top, params["head.W"], params["head.b"])
-        if cache is not None:
-            cache.append({"name": "head", "x": top})
-        return logits
 
-    def _dropout_scales(self, params, rate, rng, dtype) -> dict[str, np.ndarray]:
-        """Each block's channel dropout multiplier, drawn from ``rng`` in block order."""
-        return {
-            name: channel_dropout_scale(params[f"{name}.W"].shape[0], rate, rng, dtype)[None, :, None, None]
-            for name in self._block_names()
-        }
-
-    def _block_names(self) -> list[str]:
-        """Convolution blocks in forward order: encoders, bottleneck, decoders."""
-        enc = [f"enc{i}" for i in range(self.config.n_blocks - 1)]
-        return [*enc, "bot", *(f"dec{i}" for i in reversed(range(self.config.n_blocks - 1)))]
-
-    def _chunk_slices(self, src: np.ndarray) -> int:
-        """Slices per chunk: one tap's product at the widest filter count fits in ``_CHUNK_BYTES``."""
-        _, _, hgt, wid = src.shape
-        widest = self.config.base_filters * 2 ** (self.config.n_blocks - 1)
-        return max(1, _CHUNK_BYTES // (src.itemsize * (hgt + 2) * (wid + 2) * widest))
-
-    def _encode_decode(self, x, chunk, params, scales, shared, record, cache, out) -> None:
-        """Write the top-level decoder output for the slices ``chunk`` of ``x`` into ``out``.
-
-        ``scales`` holds each block's dropout multiplier.  A block in
-        ``shared`` takes the chunk's slice of its activation, and its input
-        (pooling, upsampling, concat) is never built; a block in ``record``
-        writes its activation into the chunk's slice of that buffer.
-        """
-        names = self._block_names()
-        skips: list = []
-
-        def block(name: str, inp: np.ndarray | None) -> np.ndarray:
+        def block(name: str, chunk: slice, inp: np.ndarray | None, dst: np.ndarray | None = None) -> np.ndarray:
             pre = None
-            dst = out if name == names[-1] else None
             if name in shared:
                 act = shared[name][chunk]
             else:
@@ -648,48 +583,53 @@ class TinySegmenter:
             if cache is not None:
                 cache.append({"name": name, "x": inp, "pre": pre})
             if scales:
-                # a new array or ``out``: ``act`` may be a shared one
+                # a new array or ``dst``: ``act`` may be a shared one
                 return np.multiply(act, scales[name], out=dst)
             return act
 
-        h = block(names[0], x[chunk])
-        for name in names[1 : self.config.n_blocks]:
-            skips.append(h)
-            h = block(name, None if name in shared else _avgpool2(h))
-        for i in reversed(range(self.config.n_blocks - 1)):
-            name = f"dec{i}"
-            h = block(name, None if name in shared else _concat(h, skips[i]))
+        n, _, hgt, wid = x.shape
+        step = n if cache is not None else self._chunk_slices(x)
+        top = np.empty((n, 8, hgt, wid), dtype=x.dtype)
+        for s in range(0, n, step):
+            chunk = slice(s, s + step)
+            enc0 = block("enc0", chunk, x[chunk])
+            bot = block("bot", chunk, None if "bot" in shared else _avgpool2(enc0))
+            block("dec0", chunk, _concat(bot, enc0), top[chunk])
+        logits = _conv1(top, params["head.W"], params["head.b"])
+        if cache is not None:
+            cache.append({"name": "head", "x": top})
+        return logits
 
-    def _backward_slices(self, dlogits, params, cache):
-        """Gradients for every parameter given d(loss)/d(logits)."""
-        n_blocks = self.config.n_blocks
+    @staticmethod
+    def _dropout_scales(rate, rng, dtype) -> dict[str, np.ndarray]:
+        """Each block's channel dropout multiplier, drawn from ``rng`` in block order."""
+        return {name: channel_dropout_scale(_PARAM_SHAPES[f"{name}.W"][0], rate, rng, dtype)[None, :, None, None]
+                for name in _BLOCKS}
+
+    @staticmethod
+    def _chunk_slices(src: np.ndarray) -> int:
+        """Slices per chunk: one tap's product at the bottleneck's 16 filters fits in ``_CHUNK_BYTES``."""
+        _, _, hgt, wid = src.shape
+        return max(1, _CHUNK_BYTES // (src.itemsize * (hgt + 2) * (wid + 2) * 16))
+
+    @staticmethod
+    def _backward_slices(dlogits, params, cache):
+        """Gradients for every parameter given d(loss)/d(logits) and the cache of a one-chunk forward pass."""
+        enc0, bot, dec0, head = cache
         grads: dict[str, np.ndarray] = {}
-        stack = list(cache)
+        dh, grads["head.W"], grads["head.b"] = _conv1_backward(dlogits, head["x"], params["head.W"])
 
-        head = stack.pop()
-        dh, dw, db = _conv1_backward(dlogits, head["x"], params["head.W"])
-        grads["head.W"], grads["head.b"] = dw, db
-
-        def block_backward(dout: np.ndarray) -> np.ndarray:
-            entry = stack.pop()
+        def block_backward(entry: dict, dout: np.ndarray) -> np.ndarray:
+            name = entry["name"]
             dout = dout * expit(entry["pre"])  # d softplus(x)/dx = sigmoid(x)
-            dx, dw, db = _conv3_backward(dout, entry["x"], params[f"{entry['name']}.W"])
-            grads[f"{entry['name']}.W"], grads[f"{entry['name']}.b"] = dw, db
+            dx, grads[f"{name}.W"], grads[f"{name}.b"] = _conv3_backward(dout, entry["x"], params[f"{name}.W"])
             return dx
 
-        dskips: dict[int, np.ndarray] = {}
-        for i in range(n_blocks - 1):
-            dh = block_backward(dh)  # dec{i}, i ascending == reverse of forward
-            # split the concat: leading channels are the upsampled deeper path
-            skip_ch = self.config.base_filters * 2**i
-            d_deeper, d_skip = dh[:, :-skip_ch], dh[:, -skip_ch:]
-            dskips[i] = d_skip
-            dh = _upsample2_backward(d_deeper)
-        dh = block_backward(dh)  # bottleneck
-        for i in reversed(range(n_blocks - 1)):
-            dh = _avgpool2_backward(dh)
-            dh += dskips[i]
-            dh = block_backward(dh)  # enc{i}
+        dcat = block_backward(dec0, dh)
+        # dec0's input is the upsampled bottleneck's 16 channels, then enc0's 8
+        dh = _avgpool2_backward(block_backward(bot, _upsample2_backward(dcat[:, :-8])))
+        dh += dcat[:, -8:]
+        block_backward(enc0, dh)
         return grads
 
     # -- persistence ----------------------------------------------------------
@@ -699,11 +639,7 @@ class TinySegmenter:
         names = sorted(self.params)
         header = {
             "format_version": 1,
-            "config": {
-                "context_slices": self.config.context_slices,
-                "n_blocks": self.config.n_blocks,
-                "base_filters": self.config.base_filters,
-            },
+            "config": asdict(self.config),
             "seed": self.seed,
             "params": [{"name": n, "shape": list(self.params[n].shape)} for n in names],
         }
@@ -731,14 +667,15 @@ class TinySegmenter:
                 header = json.loads(f.read(header_len).decode("utf-8"))
                 if header.get("format_version") != 1:
                     raise PredictorError(f"unsupported checkpoint version {header.get('format_version')}")
-                config = PredictorConfig(**header["config"])
+                config = header["config"]
                 seed = int(header.get("seed", 0))
                 entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-                # nothing is allocated from the config until the manifest and the payload size match it;
-                # the count goes first, so the header's own length bounds the shapes derived from it
-                expected = sorted(_param_shapes(config).items()) if len(entries) == 4 * config.n_blocks else None
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise PredictorError(f"bad checkpoint header in {path.name}: {exc}") from exc
+            # nothing is allocated until the header matches the one architecture and the file its payload size
+            if config != asdict(cls.config):
+                raise PredictorError(f"checkpoint {path.name} is not of the built-in architecture {asdict(cls.config)}")
+            expected = sorted(_PARAM_SHAPES.items())
             if entries != expected:
                 raise PredictorError(f"checkpoint shape manifest mismatch in {path.name}")
             size = offset + 4 * sum(math.prod(shape) for _, shape in expected)
@@ -751,8 +688,7 @@ class TinySegmenter:
                     raise PredictorError(f"checkpoint {path.name} ended inside parameter {name}")
         # the payload sets every parameter, so the model is built without drawing an initialisation
         model = cls.__new__(cls)
-        model.config, model.seed, model.params = config, seed, params
-        model._memo = None
+        model.seed, model.params, model._memo = seed, params, None
         return model
 
 

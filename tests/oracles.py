@@ -472,6 +472,20 @@ def stack_slices(v: Volume, context: int, dtype) -> np.ndarray:
     return x
 
 
+def param_shapes(context_slices: int, n_blocks: int, base_filters: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape for an ``n_blocks``-level network whose filters double per level, in init order."""
+    filters = [base_filters * 2**i for i in range(n_blocks)]
+    shapes, c_in = {}, 2 * context_slices + 1
+    for i in range(n_blocks - 1):
+        shapes[f"enc{i}.W"], shapes[f"enc{i}.b"] = (filters[i], c_in, 3, 3), (filters[i],)
+        c_in = filters[i]
+    shapes["bot.W"], shapes["bot.b"] = (filters[-1], c_in, 3, 3), (filters[-1],)
+    for i in reversed(range(n_blocks - 1)):
+        shapes[f"dec{i}.W"], shapes[f"dec{i}.b"] = (filters[i], filters[i + 1] + filters[i], 3, 3), (filters[i],)
+    shapes["head.W"], shapes["head.b"] = (1, filters[0], 1, 1), (1,)
+    return shapes
+
+
 def whole_stack_forward(model, x, params, rate, rng, want_cache):
     """``TinySegmenter._forward_slices`` with every layer over the whole slice stack.
 

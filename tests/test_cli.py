@@ -382,8 +382,8 @@ def test_pipeline_missing_config_file(tmp_path):
 
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     cfg = pipeline_config()
-    # the main lesion fits, but its satellite, 5.2 voxels from a center in [2, 4]^3, cannot land in [2, 4]^3
-    cfg["phantom"].update(dims=[7, 7, 7], radius=[2, 2], satellite=True)
+    # the main lesion fits, but its satellite, 5.2 voxels from a center in [2, 3]^3, cannot land in [2, 3]^3
+    cfg["phantom"].update(dims=[6, 6, 6], radius=[2, 2], satellite=True)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
@@ -392,8 +392,8 @@ def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
 
 def test_pipeline_phantom_failure_leaves_no_out(tmp_path, capsys):
     cfg = pipeline_config()
-    # the main lesion fits, but its satellite, 5.2 voxels from a center in [2, 4]^3, cannot land in [2, 4]^3
-    cfg["phantom"].update(dims=[7, 7, 7], radius=[2, 2], satellite=True)
+    # the main lesion fits, but its satellite, 5.2 voxels from a center in [2, 3]^3, cannot land in [2, 3]^3
+    cfg["phantom"].update(dims=[6, 6, 6], radius=[2, 2], satellite=True)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -511,13 +511,14 @@ def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, mo
     ({"phantom": {"subjects": 2, "dims": [8, 8, 8]}}, "does not fit inside dims"),
     ({"phantom": {"subjects": 2, "dims": [6, 6, 6], "radius": [2.2, 2.2]}}, "does not fit inside dims"),
     ({"phantom": {"subjects": 0, "dims": [16, 16, 8], "radius": [1.5, 2.5]}}, "phantom.subjects must be >= 1"),
+    ({"phantom": {"subjects": 2, "dims": [33, 33, 12], "radius": [1.5, 2.5]}}, "phantom.dims in-plane size (33, 33)"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
         "one-case", "one-distinct-case", "repeated-case", "seed-bool", "seed-float", "subjects-bool", "dims-float",
         "lesions-float", "satellite-string", "satellite-int", "epochs-float", "holdout-bool", "samples-float",
         "binarize-string", "binarize-int", "noise-string", "noise-bool", "radius-bool-and-string", "holdout-negative",
         "noise-negative", "radius-unordered", "lesions-zero", "radius-does-not-fit", "radius-ceil-does-not-fit",
-        "subjects-zero"])
+        "subjects-zero", "dims-odd"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))
