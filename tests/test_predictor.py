@@ -66,25 +66,48 @@ def forward_from_scratch(model, img, rate, seed):
     return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
 
 
-def chunk_test_model(side, nz, seed=0):
-    """Segmenter with nonzero biases and a noise image of ``side`` x ``side`` x ``nz``."""
-    rng = np.random.default_rng([side, nz, seed])
+def chunk_test_model(dims, seed=0):
+    """Segmenter with nonzero biases and a noise image of ``dims`` (nx, ny, nz)."""
+    rng = np.random.default_rng([*dims, seed])
     model = TinySegmenter(seed=seed)
     for name, p in model.params.items():
         if name.endswith(".b"):
             model.params[name] = rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
-    return model, Volume(rng.normal(size=(side, side, nz)))
+    return model, Volume(rng.normal(size=dims))
 
 
-# each grid splits into several chunks; 17 slices leave a remainder chunk
-CHUNKED_GRIDS = {"32x32x16": (32, 16), "64x64x32": (64, 32), "32x32x17": (32, 17)}
+def grid_ids(grids):
+    return ["x".join(map(str, dims)) for dims in grids]
+
+
+# each grid splits into several float32 and float64 chunks; the comments give the float32 chunk sizes
+CHUNKED_GRIDS = [
+    (32, 32, 16),  # 3 slices per chunk, 5 chunks and a remainder of 1
+    (64, 64, 32),  # 1 slice per chunk
+    (32, 32, 17),  # 3 per chunk, a remainder of 2
+    (32, 48, 16),  # non-square: 2 per chunk
+    (48, 32, 15),  # non-square the other way, a remainder of 1
+    (16, 64, 10),  # 3 per chunk, a remainder of 1
+    (64, 16, 10),
+    (8, 128, 7),   # a bottleneck 4 rows high
+    (128, 8, 7),
+    (2, 512, 3),   # one-row bottleneck: every vertical tap of bot falls off the grid
+    (512, 2, 3),   # one-column bottleneck
+    (30, 30, 10),  # odd 15x15 bottleneck, 4 per chunk
+    (18, 18, 23),  # odd 9x9 bottleneck, 10 per chunk, a remainder of 3
+    (14, 14, 30),  # odd 7x7 bottleneck, 16 per chunk
+    (10, 50, 13),  # odd 5x25 bottleneck, 6 per chunk
+    (6, 6, 70),    # odd 3x3 bottleneck, 64 per chunk, a remainder of 6
+    (2, 2, 260),   # 1x1 bottleneck, 256 per chunk, a remainder of 4
+    (96, 96, 5),   # 1 per chunk at the widest grid
+]
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.03, 0.4])
-@pytest.mark.parametrize("grid", CHUNKED_GRIDS.values(), ids=CHUNKED_GRIDS.keys())
+@pytest.mark.parametrize("grid", CHUNKED_GRIDS, ids=grid_ids(CHUNKED_GRIDS))
 def test_chunked_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, rate):
-    side, nz = grid
-    model, img = chunk_test_model(side, nz)
+    nz = grid[2]
+    model, img = chunk_test_model(grid)
     x = model._stack_slices(img)
     assert 1 <= model._chunk_slices(x) < nz
 
@@ -105,12 +128,16 @@ def test_chunked_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, rate):
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
+# every grid fits one float32 chunk: 12 slices at 16x16, 40 at 8x8, 48 at 4x12
+ONE_CHUNK_GRIDS = [(16, 16, 6), (8, 8, 1), (4, 12, 9)]
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.03, 0.4])
-def test_one_chunk_forward_reproduces_whole_stack_oracle_bit_for_bit(rate):
-    # 6 slices at 16x16 fit one float32 chunk (it takes 12)
-    model, img = chunk_test_model(16, 6)
+@pytest.mark.parametrize("grid", ONE_CHUNK_GRIDS, ids=grid_ids(ONE_CHUNK_GRIDS))
+def test_one_chunk_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, rate):
+    model, img = chunk_test_model(grid)
     x = model._stack_slices(img)
-    assert model._chunk_slices(x) >= 6
+    assert model._chunk_slices(x) >= grid[2]
 
     def oracle_logits(seed):
         logits, _ = oracles.whole_stack_forward(model, x, model.params, rate, np.random.default_rng(seed), False)
@@ -133,12 +160,11 @@ def all_keep_prefix(model, rate, seed):
 
 
 @pytest.mark.parametrize("rate", [1e-6, 0.03, 0.4])
-@pytest.mark.parametrize("grid", CHUNKED_GRIDS.values(), ids=CHUNKED_GRIDS.keys())
+@pytest.mark.parametrize("grid", CHUNKED_GRIDS, ids=grid_ids(CHUNKED_GRIDS))
 def test_dropout_prefix_memo_reproduces_scratch_forward_bit_for_bit(grid, rate):
     # the first block comes before every mask, so every pass reaches it; at 1e-6 every mask keeps every channel,
     # so every level is recorded on the first pass and hit after it
-    side, nz = grid
-    model, img = chunk_test_model(side, nz)
+    model, img = chunk_test_model(grid)
     names = predictor._BLOCKS
     expected: set = set()
     reused = 0
@@ -165,7 +191,7 @@ def test_dropout_prefix_memo_reproduces_scratch_forward_bit_for_bit(grid, rate):
 
 
 def test_dropout_prefix_memo_misses_after_parameter_replacement_rate_change_and_another_image():
-    model, img = chunk_test_model(32, 16)
+    model, img = chunk_test_model((32, 32, 16))
     other = Volume(np.random.default_rng(7).normal(size=img.dims))
     model.forward(img, dropout_rate=1e-6, seed=0)
 
@@ -188,7 +214,7 @@ def test_dropout_prefix_memo_misses_after_parameter_replacement_rate_change_and_
 
 
 def test_deterministic_forwards_leave_the_prefix_memo_alone():
-    model, img = chunk_test_model(32, 16)
+    model, img = chunk_test_model((32, 32, 16))
     other = Volume(np.random.default_rng(7).normal(size=img.dims))
     model.forward(img)
     assert model._memo is None
@@ -202,7 +228,7 @@ def test_deterministic_forwards_leave_the_prefix_memo_alone():
 
 def test_dropout_prefix_memo_under_thread_contention():
     # threads alternate two images and two rates, so the one-entry memo is replaced while others read it
-    model, img = chunk_test_model(32, 16)
+    model, img = chunk_test_model((32, 32, 16))
     images = (img, Volume(np.random.default_rng(7).normal(size=img.dims)))
     jobs = [(seed % 2, (1e-6, 0.03)[seed // 2 % 2], seed) for seed in range(24)]
     want = {job: forward_from_scratch(model, images[job[0]], *job[1:]).tobytes() for job in jobs}
@@ -218,10 +244,14 @@ def test_dropout_prefix_memo_under_thread_contention():
     assert got == want
 
 
+CACHED_GRIDS = [(32, 32, 16), (18, 18, 23), (2, 8, 3)]  # square, an odd bottleneck, a one-row bottleneck
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_cached_forward_is_one_whole_stack_chunk(dtype):
+@pytest.mark.parametrize("grid", CACHED_GRIDS, ids=grid_ids(CACHED_GRIDS))
+def test_cached_forward_is_one_whole_stack_chunk(grid, dtype):
     # training and gradient_check keep backward state, so their batch runs as one chunk
-    model, img = chunk_test_model(32, 16)
+    model, img = chunk_test_model(grid)
     params = {k: v.astype(dtype) for k, v in model.params.items()}
     x = model._stack_slices(img, dtype=dtype)
     got_cache: list = []
@@ -249,7 +279,7 @@ def test_chunk_size_follows_the_input():
 def test_inference_forward_memory_is_bounded(rate, memo):
     # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB.
     # "record" misses the memo and records enc0, bot and the logits; "all-hit" takes the logits from the memo
-    model, img = chunk_test_model(64, 32)
+    model, img = chunk_test_model((64, 64, 32))
     seeds = (2, 4) if memo in ("record", "all-hit") else (0, 1)  # 2 and 4 keep every channel at 0.03
     model.forward(img, dropout_rate=rate, seed=seeds[0])
     if memo in ("miss", "record"):
@@ -291,9 +321,10 @@ def test_higher_dropout_disrupts_more(trained_model, small_cohort):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("nz", [1, 2, 5, 16])
-def test_context_channels_replicate_at_edges(nz, dtype):
+@pytest.mark.parametrize("plane", [(8, 6), (6, 8), (2, 2), (4, 10)], ids=["8x6", "6x8", "2x2", "4x10"])
+def test_context_channels_replicate_at_edges(plane, nz, dtype):
     # at nz <= 2 the window reaches past both ends of the stack at once
-    img = Volume(np.random.default_rng([2, nz]).normal(size=(8, 6, nz)))
+    img = Volume(np.random.default_rng([*plane, nz]).normal(size=(*plane, nz)))
     model = TinySegmenter(seed=0)
     context = model.config.context_slices
     x = model._stack_slices(img, dtype=dtype)
