@@ -14,13 +14,21 @@ Every stage writes a JSON manifest recording the tool version, the
 effective configuration, the base seed, every sampled parameter and the
 SHA-256 of each input/output file, so any output is reproducible
 bit-exactly from its manifest.  Manifests contain only paths relative to
-their own directory.  ``UQCAT_THREADS`` caps worker threads; outputs are
-bit-identical regardless of thread count because all randomness is derived
-from (seed, subject, case, pass) names, never from scheduling.
+their own directory.
+
+``uqcat run`` runs its (subject, case) jobs in worker processes forked from
+itself, as many as the usable cores, each with one BLAS thread;
+``UQCAT_THREADS`` caps the count, and with one worker, or where the platform
+cannot fork, the jobs run in the calling process.  Outputs are bit-identical
+regardless of the worker count because all randomness is derived from
+(seed, subject, case, pass) names, never from scheduling.  A worker returns
+a job's three maps and pass records; it dies with the process that forked
+it and leaves Ctrl-C to that process.
 
 Subject ids come from the ``sub-<i>_img.vvol`` file names.  ``uqcat run``
-writes each job's maps as soon as the job finishes and ``run_manifest.json``
-last, so a maps directory without that manifest is an incomplete run.
+writes each job's maps, in job order, as soon as the job finishes and
+``run_manifest.json`` last, so a maps directory without that manifest is an
+incomplete run.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Pipeline
 config errors exit 2 before any stage runs.  A runtime failure prints the
@@ -32,12 +40,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +91,11 @@ def _fmt(x: float) -> str:
     return "" if not np.isfinite(x) else f"{x:.6g}"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("UQCAT_THREADS", "1")
+def _thread_cap() -> int | None:
+    """``UQCAT_THREADS``, the cap on run-stage worker processes, or None when it is unset."""
+    raw = os.environ.get("UQCAT_THREADS")
+    if raw is None:
+        return None
     try:
         n = int(raw)
     except ValueError:
@@ -88,6 +103,19 @@ def _thread_count() -> int:
     if n < 1:
         raise UsageError(f"UQCAT_THREADS must be >= 1, got {n}")
     return n
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _worker_count(n_jobs: int, cap: int | None) -> int:
+    """Run-stage workers: ``cap`` (else the usable cores), but no more than the usable cores or the jobs."""
+    cores = _usable_cores()
+    return min(cap or cores, cores, n_jobs)
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -218,10 +246,66 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
 # run
 # --------------------------------------------------------------------------
 
+def _set_blas_threads(n: int) -> None:
+    """Set numpy's bundled OpenBLAS to ``n`` threads; does nothing where no such library or symbol is found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for lib in map(ctypes.CDLL, glob.glob(libs)):  # the copy numpy has loaded, so no new load
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(n)
+                break
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+_worker_job = None  # the job function of a forked run-stage worker, set by _init_worker
+
+
+def _init_worker(job, parent: int) -> None:
+    """Set up a forked worker: it dies with ``parent``, ignores Ctrl-C (the parent handles it and shuts the
+    pool down) and runs BLAS on one thread, since the workers already keep every core busy."""
+    global _worker_job
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before prctl took effect
+        os._exit(1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _set_blas_threads(1)
+    _worker_job = job
+
+
+def _run_worker_job(job: tuple[int, int]):
+    return _worker_job(job)
+
+
+@contextlib.contextmanager
+def _job_results(one_job, jobs: list, workers: int):
+    """``one_job`` over ``jobs``, in job order: from ``workers`` forked processes, which inherit ``one_job`` and
+    what it holds, or in this process when ``workers`` is 1 or the platform cannot fork.
+
+    A process pool, not ``multiprocessing.Pool``: when a worker dies (killed, out of memory) the pending jobs
+    fail with ``BrokenProcessPool`` where a ``Pool`` would wait for them forever.  On leaving, jobs not yet
+    started are cancelled and the running ones finished.
+    """
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map(one_job, jobs)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_init_worker,
+                               initargs=(one_job, os.getpid()))
+    try:
+        yield pool.map(_run_worker_job, jobs)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cases: list[int], binarize: bool) -> int:
     if samples < 2:
         raise UsageError(f"--samples must be >= 2, got {samples}")
-    threads = _thread_count()
+    cap = _thread_cap()
     segmenter = TinySegmenter.load(model)
     cohort = _load_cohort(subjects, labels=False)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,9 +327,8 @@ def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cas
 
     written: list[str] = []
     passes: dict[str, dict] = {}
-    # both map flavours yield in job order, so each job's maps are written as it finishes
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
-        for (sid, cid), maps, records in (pool.map if pool else map)(one_job, jobs):
+    with _job_results(one_job, jobs, _worker_count(len(jobs), cap)) as results:
+        for (sid, cid), maps, records in results:
             for tag, vol in (("mean", maps.mean), ("var", maps.variance), ("ent", maps.entropy)):
                 written.extend(_write_vvol(vol, out / f"sub-{sid}_case-{cid}_{tag}.vvol"))
             passes.setdefault(f"subject-{sid}", {})[f"case-{cid}"] = list(records)
@@ -499,7 +582,7 @@ def cmd_pipeline(out: Path, config: Path | None = None, model: Path | None = Non
         raise UsageError(f"bad config {config.name if config else '(defaults)'}: {exc}") from None
     if train_args is None and not model:
         raise UsageError("config has no 'train' section and no --model was given")
-    _thread_count()  # reject a bad UQCAT_THREADS before any stage writes
+    _thread_cap()  # reject a bad UQCAT_THREADS before any stage writes
 
     stage = "phantom"
     try:

@@ -294,24 +294,19 @@ def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc.reshape(bsz, f, h + 2, wd + 2)[:, :, :h, :wd]
 
 
-def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """(dx, dw, db) of :func:`_conv3`; writes none of its arguments.
+def _conv3_weight_grads(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dw, db) of :func:`_conv3`; writes none of its arguments.
 
     The taps are shifted by the flat offset ``off`` of the module docstring.
     dw multiplies (C, B*H*W) by (B*H*W, F) and transposes the result: this
     operand order fixes the float32 summation order of the long B*H*W sum.
     The gradient matrix's edge rows are zeroed for each tap and restored
     from ``dout``; its layout is the reshape's, F-ordered at B=1, where a
-    C-ordered copy would select another BLAS path and other bits.  dw's
-    buffers are freed before dx is allocated, which keeps the peak under
-    twice the size of x.  dx adds the taps in the window form's order, and
-    a zeroed column adds +0.0 to a sum that started at +0.0, which changes
-    no bit.
+    C-ordered copy would select another BLAS path and other bits.
     """
     bsz, c, h, wd = x.shape
     f = w.shape[0]
-    hw = h * wd
-    n, m = bsz * hw, wd + 1
+    n, m = bsz * h * wd, wd + 1
     xf = np.empty((c, n + 2 * m), dtype=x.dtype)
     xf[:, :m] = 0
     xf[:, m + n :] = 0
@@ -320,7 +315,7 @@ def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
     dmat = dt.reshape(-1, f).copy(order="K")
     d4 = dmat.reshape(bsz, h, wd, f)
     rows = {0: np.s_[:, 0], 2: np.s_[:, h - 1]}
-    cols = {0: np.s_[:, :, 0], 2: np.s_[:, :, wd - 1]}  # axis 2 is W in (B, H, W, F) and in (C, H, W)
+    cols = {0: np.s_[:, :, 0], 2: np.s_[:, :, wd - 1]}  # axis 2 is W in (B, H, W, F)
     dw = np.empty_like(w)
     for di in range(3):
         for dj in range(3):
@@ -331,8 +326,22 @@ def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
             dw[:, :, di, dj] = (xf[:, m + off : m + off + n] @ dmat).T
             for e in edges:
                 d4[e] = dt[e]
-    del xf, dmat, d4
-    d3 = dout.reshape(bsz, f, hw)
+    return dw, dout.sum(axis=(0, 2, 3))
+
+
+def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw, db) of :func:`_conv3`; writes none of its arguments.
+
+    dw and db come from :func:`_conv3_weight_grads`, whose buffers are freed
+    before dx is allocated, which keeps the peak under twice the size of x.
+    dx adds the taps in the window form's order, and a zeroed column adds
+    +0.0 to a sum that started at +0.0, which changes no bit.
+    """
+    dw, db = _conv3_weight_grads(dout, x, w)
+    bsz, c, h, wd = x.shape
+    hw = h * wd
+    d3 = dout.reshape(bsz, w.shape[0], hw)
+    cols = {0: np.s_[:, :, 0], 2: np.s_[:, :, wd - 1]}  # axis 2 is W in (C, H, W)
     dx = np.zeros((bsz, c, hw), dtype=x.dtype)
     prod = np.empty((c, hw), dtype=x.dtype)
     window = prod.reshape(c, h, wd)
@@ -347,7 +356,7 @@ def _conv3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
                     window[cols[dj]] = 0
                 lo, hi = max(off, 0), hw + min(off, 0)
                 dx[k, :, lo:hi] += prod[:, lo - off : hi - off]
-    return dx.reshape(bsz, c, h, wd), dw, dout.sum(axis=(0, 2, 3))
+    return dx.reshape(bsz, c, h, wd), dw, db
 
 
 def _conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -629,7 +638,8 @@ class TinySegmenter:
         # dec0's input is the upsampled bottleneck's 16 channels, then enc0's 8
         dh = _avgpool2_backward(block_backward(bot, _upsample2_backward(dcat[:, :-8])))
         dh += dcat[:, -8:]
-        block_backward(enc0, dh)
+        # the input image needs no gradient, so enc0 skips dx
+        grads["enc0.W"], grads["enc0.b"] = _conv3_weight_grads(dh * expit(enc0["pre"]), enc0["x"], params["enc0.W"])
         return grads
 
     # -- persistence ----------------------------------------------------------

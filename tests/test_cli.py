@@ -1,11 +1,18 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uqcat import Volume, read_volume, write_volume
+import uqcat
+from uqcat import Volume, cli, read_volume, write_volume
 from uqcat.cli import main
 
 
@@ -109,16 +116,28 @@ def test_analyze_outputs(small_run):
 
 
 def test_run_deterministic_and_thread_independent(small_run, tmp_path, monkeypatch):
-    out2 = tmp_path / "maps2"
-    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
-                 "--out", str(out2), "--samples", "4", "--seed", "5", "--cases", "1,2,7"]) == 0
-    assert tree_digest(small_run / "maps") == tree_digest(out2)
+    # unset: a worker process per usable core; "3": capped at the cores; "1": the jobs run in this process
+    monkeypatch.delenv("UQCAT_THREADS", raising=False)
+    for threads in (None, "3", "1"):
+        if threads is not None:
+            monkeypatch.setenv("UQCAT_THREADS", threads)
+        out = tmp_path / f"maps-{threads}"
+        assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
+                     "--out", str(out), "--samples", "4", "--seed", "5", "--cases", "1,2,7"]) == 0
+        assert tree_digest(small_run / "maps") == tree_digest(out), threads
 
-    out3 = tmp_path / "maps3"
-    monkeypatch.setenv("UQCAT_THREADS", "3")
-    assert main(["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
-                 "--out", str(out3), "--samples", "4", "--seed", "5", "--cases", "1,2,7"]) == 0
-    assert tree_digest(small_run / "maps") == tree_digest(out3)
+
+@pytest.mark.parametrize("threads, jobs, workers", [
+    (None, 3, 3), ("1", 3, 1), ("12", 3, 3),  # fewer jobs than the 8 cores
+    (None, 20, 8), ("12", 20, 8), ("5", 20, 5),
+])
+def test_worker_count(monkeypatch, threads, jobs, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    if threads is None:
+        monkeypatch.delenv("UQCAT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("UQCAT_THREADS", threads)
+    assert cli._worker_count(jobs, cli._thread_cap()) == workers
 
 
 def test_invalid_threads_env(small_run, tmp_path, monkeypatch):
@@ -473,6 +492,109 @@ def test_run_failure_names_subject_case_and_pass(small_run, tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.startswith("error: PredictorError: in-plane dims (9, 9) must be divisible by 2")
     assert err.rstrip().endswith("(subject 1, case 1, pass 0)")
+
+
+def uqcat_subprocess(code: str, argv: list[str], stderr) -> subprocess.Popen:
+    """``python -c code`` with ``argv`` and uqcat importable, capped at 2 run-stage workers.
+
+    stderr goes to a file: a worker that outlived the process would hold a pipe open.
+    """
+    env = {**os.environ, "UQCAT_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(uqcat.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+
+
+def proc_stat(pid) -> tuple[int, str, str] | None:
+    """(parent pid, state, start time) from ``/proc/<pid>/stat``, or None once the process is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return int(fields[1]), fields[0], fields[19]
+
+
+def children(pid: int) -> dict[int, str]:
+    """Start time of each child of ``pid``."""
+    stats = {int(d.name): proc_stat(d.name) for d in Path("/proc").iterdir() if d.name.isdigit()}
+    return {child: st[2] for child, st in stats.items() if st is not None and st[0] == pid}
+
+
+def alive(pid: int, start: str) -> bool:
+    st = proc_stat(pid)
+    return st is not None and st[2] == start and st[1] not in "ZX"  # a zombie has exited
+
+
+forks_workers = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists() or "fork" not in multiprocessing.get_all_start_methods()
+    or cli._usable_cores() < 2, reason="needs /proc, the fork start method and 2 usable cores")
+
+
+@pytest.fixture(scope="module")
+def grid_32(tmp_path_factory):
+    """2 subjects at 32x32x16 and a 1-epoch model: 14 cases x 50 passes take a few seconds."""
+    root = tmp_path_factory.mktemp("grid32")
+    assert main(["phantom", "--out", str(root / "ph"), "--subjects", "2", "--seed", "5", "--dims", "32,32,16"]) == 0
+    assert main(["train", "--data", str(root / "ph"), "--out", str(root / "model.uqp"), "--epochs", "1",
+                 "--seed", "5"]) == 0
+    return root
+
+
+@forks_workers
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_killed_run_leaves_no_worker_manifest_or_traceback(grid_32, tmp_path, sig):
+    out = tmp_path / "maps"
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = uqcat_subprocess("import sys; from uqcat.cli import main; sys.exit(main(sys.argv[1:]))",
+                                ["run", "--model", str(grid_32 / "model.uqp"), "--subjects", str(grid_32 / "ph"),
+                                 "--out", str(out), "--samples", "50"], err)
+        try:
+            deadline = time.monotonic() + 60
+            while not (len(children(proc.pid)) >= 2 and list(out.glob("*_ent.vvol"))):  # mid-run
+                assert proc.poll() is None and time.monotonic() < deadline, "the run never got under way"
+                time.sleep(0.01)
+            workers = children(proc.pid)
+            proc.send_signal(sig)
+            proc.wait(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+    deadline = time.monotonic() + 2
+    while any(alive(*w) for w in workers.items()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    survivors = [pid for pid, start in workers.items() if alive(pid, start)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors
+    assert not (out / "run_manifest.json").exists()
+    assert "Traceback" not in (tmp_path / "stderr.txt").read_text()
+
+
+@forks_workers
+def test_run_fails_when_a_worker_dies(small_run, tmp_path):
+    # a multiprocessing.Pool would wait forever for the dead worker's job
+    code = """import os, signal, sys
+import uqcat.cli as cli
+real_run_case = cli.run_case
+def dying_run_case(model, image, case, **kwargs):
+    if kwargs["subject_id"] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_run_case(model, image, case, **kwargs)
+cli.run_case = dying_run_case
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    out = tmp_path / "maps"
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = uqcat_subprocess(code, ["run", "--model", str(small_run / "model.uqp"), "--subjects",
+                                       str(small_run / "ph"), "--out", str(out), "--samples", "4", "--cases", "1,2"],
+                                err)
+        try:
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+    assert (tmp_path / "stderr.txt").read_text().startswith("error: BrokenProcessPool: ")
+    assert not (out / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("overrides, named", [

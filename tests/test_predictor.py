@@ -465,6 +465,9 @@ def assert_conv3_matches_window_kernels(x, w, b, dout):
     got = predictor._conv3_backward(dout, x, w)
     for name, g, e in zip(("dx", "dw", "db"), got, oracles.window_conv3_backward(dout, x, w)):
         assert_same_bits(g, e, name)
+    # the first block's backward pass takes dw and db alone
+    for name, g, e in zip(("dw alone", "db alone"), predictor._conv3_weight_grads(dout, x, w), got[1:]):
+        assert_same_bits(g, e, name)
 
 
 def conv3_operands(rng, bsz, c, f, h, wd, dtype):
