@@ -495,7 +495,7 @@ def _load_config(p: Path) -> dict:
 
 def _merge_config(file_cfg: dict, model: Path | None, seed: int | None, samples: int | None,
                   subjects: int | None, epochs: int | None) -> dict:
-    """Precedence: flags > config file > defaults.  ``"train": null`` disables training.
+    """Precedence: flags > config file > defaults.  ``"train": null`` or ``--model`` disables training.
 
     A section or section key that the defaults lack is a ``ValueError``.
     """
@@ -510,10 +510,8 @@ def _merge_config(file_cfg: dict, model: Path | None, seed: int | None, samples:
             cfg[section].update(value)
         else:
             cfg[section] = value
-    if cfg.get("train") is None:
-        cfg.pop("train", None)
-    if "train" not in file_cfg and model:
-        cfg.pop("train", None)  # training supplied externally
+    if cfg.get("train") is None or model:
+        cfg.pop("train", None)  # disabled, or the model is supplied externally
     if seed is not None:
         cfg["seed"] = seed
     if samples is not None:
@@ -691,6 +689,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failure
         print(f"error: {type(exc).__name__}: {_describe(exc)}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 def entry() -> None:

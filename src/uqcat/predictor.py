@@ -78,21 +78,19 @@ differently; 2-pixel-wide inputs keep the reshape).  Upsampling makes four strid
 straight into the concat buffer with the skip copied in after it, and
 softplus reuses one temporary.
 
-Test-time dropout passes share every all-keep mask prefix.  Every dropout
-pass of a case sees the same unperturbed image, and enc0's conv and
-softplus come before the first mask.  A mask that drops no channel scales
-every channel by the same 1/(1-rate), so a pass whose enc0 mask is all-keep
-gives bot the same input as every other such pass; at rates of 0.03-0.15
-an 8-channel mask drops nothing in 27-78% of draws.  A one-entry memo,
-keyed by the image, every parameter array and the rate, keeps the
-activations these prefixes reach: enc0's, which survives a rate change,
-bot's, and the logits of a pass whose masks are all all-keep
-(:meth:`TinySegmenter._dropout_logits`), 4 + 2 + 0.5 MB at 64x64x32.
-Each pass still draws all its masks from its own generator in block
-order, and a shared activation holds the bits a memo-free pass computes,
-so the outputs are bit-identical to recomputing every block.
-Passes without dropout (test-time augmentation, training, validation)
-never repeat an image and bypass the memo.
+Test-time dropout passes share every all-keep mask prefix within one
+call.  The passes of one :meth:`TinySegmenter.dropout_passes` call see
+the same unperturbed image at one rate, and enc0's conv and softplus come
+before the first mask.  A mask that drops no channel scales every channel
+by the same 1/(1-rate), so a pass whose enc0 mask is all-keep gives bot
+the same input as every other such pass; at rates of 0.03-0.15 an
+8-channel mask drops nothing in 27-78% of draws.  The call holds the
+activations these prefixes reach until it ends: enc0's, bot's, and the
+logits of a pass whose masks are all all-keep, 4 + 2 + 0.5 MB at
+64x64x32.  Each pass still draws all its masks from its own generator in
+block order, and a shared activation holds the bits the pass would
+compute, so the outputs are bit-identical to recomputing every block.
+The model itself keeps nothing between calls.
 
 Every pass runs the encoder-decoder in one loop over chunks of axial
 slices, so that each tap's conv product is read back from cache rather
@@ -121,6 +119,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Protocol
@@ -149,6 +148,9 @@ class Predictor(Protocol):
     """Stochastic segmenter contract used by the uncertainty engine."""
 
     def forward(self, v: Volume, dropout_rate: float = 0.0, seed: int = 0) -> Volume: ...
+
+    def dropout_passes(self, v: Volume, rate: float, seeds: Iterable[int]) -> Iterator[Volume]:
+        """``forward(v, rate, seed)`` for each seed in turn; ``(self.forward(v, rate, s) for s in seeds)`` will do."""
 
 
 @dataclass(frozen=True)
@@ -478,6 +480,12 @@ def _init_params(rng: np.random.Generator, dtype=np.float32) -> dict[str, np.nda
     return params
 
 
+def _probabilities(logits: np.ndarray, v: Volume) -> Volume:
+    """The (B, 1, H, W) slice logits as a foreground probability volume on ``v``'s grid."""
+    probs = expit(logits[:, 0].astype(np.float64))
+    return Volume(np.moveaxis(probs, 0, 2), v.spacing)
+
+
 class TinySegmenter:
     """Trainable 2.5-D slice-context segmenter; see the module docstring."""
 
@@ -486,55 +494,43 @@ class TinySegmenter:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self.params = _init_params(derive_rng(self.seed, "init"))
-        # (volume, parameter arrays, rate, {block name: read-only activation}) of the last dropout passes
-        self._memo: tuple | None = None
 
     # -- volume-level API ---------------------------------------------------
 
     def forward(self, v: Volume, dropout_rate: float = 0.0, seed: int = 0) -> Volume:
         """Per-voxel foreground probability; deterministic in (params, v, rate, seed)."""
-        if not (0.0 <= dropout_rate < 1.0):
-            raise PredictorError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-        if dropout_rate > 0.0:
-            logits = self._dropout_logits(v, dropout_rate, np.random.default_rng(seed))
-        else:
-            logits = self._forward_slices(self._stack_slices(v), self.params)
-        probs = expit(logits[:, 0].astype(np.float64))
-        return Volume(np.moveaxis(probs, 0, 2), v.spacing)
+        if dropout_rate != 0.0:
+            return next(self.dropout_passes(v, dropout_rate, (seed,)))
+        return _probabilities(self._forward_slices(self._stack_slices(v), self.params), v)
 
-    def _dropout_logits(self, v: Volume, rate: float, rng: np.random.Generator) -> np.ndarray:
-        """Logits of one dropout pass over ``v``, sharing what its all-keep mask prefix shares.
+    def dropout_passes(self, v: Volume, rate: float, seeds: Iterable[int]) -> Iterator[Volume]:
+        """``forward(v, rate, seed)`` for each seed in turn, sharing what the passes' all-keep mask prefixes share.
 
         enc0 comes before every mask, and if enc0's mask keeps every
-        channel, bot gets the same input too, on every pass with the same
-        image, rate and parameters.  A one-entry memo, keyed by the identity
-        of the image and of every parameter array (which it holds, so their
-        ids cannot be reused) and by the rate, keeps these activations
-        read-only: enc0's, which does not depend on the rate and survives a
-        rate change, bot's, and the logits of a pass whose masks all keep
-        every channel.  Training and :meth:`load` replace parameter arrays
-        rather than writing into them, so a parameter change misses the
-        memo, and a miss on the image or the parameters drops it before the
-        pass computes.  The input is the read-only view over one edge-padded
-        copy of ``v`` (:meth:`_stack_slices`), or the held enc0
-        activation, so a hit builds no input.  A pass records each such
-        activation it computes and the memo lacks, enc0's too, in
-        :meth:`_forward_slices`'s chunk loop, and publishes the memo as
-        one tuple, so concurrent passes see either entry, never a mix.  The
-        masks are drawn from ``rng`` in block order either way, so the
-        outputs are those of a memo-free pass.
+        channel, bot gets the same input too, on every pass of the call.
+        The first pass that reaches enc0's activation, bot's after an
+        all-keep enc0 mask, or the logits of a pass whose masks all keep
+        every channel records it, in :meth:`_forward_slices`'s chunk loop,
+        and later passes take it from there, so a pass that shares enc0
+        builds no input.  What is held lives only as long as the call.
+        The parameters are read once, when the first pass starts.  The
+        masks are drawn from each pass's own generator in block order
+        either way, so the outputs are those of passes that share nothing.
+        At rate 0 every mask keeps every channel and each pass gives
+        ``forward(v)``'s bits.
         """
+        if not (0.0 <= rate < 1.0):
+            raise PredictorError(f"dropout rate must be in [0, 1), got {rate}")
         params = self.params
-        scales = self._dropout_scales(rate, rng, np.float32)
+        held: dict[str, np.ndarray] = {}
+        for seed in seeds:
+            # one expression, so that between passes the generator holds only what later passes share
+            yield _probabilities(self._pass_logits(v, params, rate, seed, held), v)
+
+    def _pass_logits(self, v: Volume, params, rate: float, seed: int, held: dict[str, np.ndarray]) -> np.ndarray:
+        """Logits of the dropout pass ``seed``, taking what ``held`` has and recording in it what the pass reaches."""
+        scales = self._dropout_scales(rate, np.random.default_rng(seed), np.float32)
         keeps = [bool(scales[name].all()) for name in _BLOCKS]
-        arrays = tuple(params.values())
-        memo = self._memo
-        if (memo is not None and memo[0] is v and len(memo[1]) == len(arrays)
-                and all(a is b for a, b in zip(memo[1], arrays))):
-            held = memo[3] if memo[2] == rate else {"enc0": memo[3]["enc0"]}
-        else:
-            held = {}
-            memo = self._memo = None  # a stale entry is freed before this pass computes its own
         if all(keeps) and "head" in held:
             return held["head"]
         x = held["enc0"] if "enc0" in held else self._stack_slices(v)
@@ -549,10 +545,7 @@ class TinySegmenter:
         logits = self._forward_slices(x, params, scales, shared=shared, record=record)
         if all(keeps):
             record["head"] = logits
-        if record:
-            for act in record.values():
-                act.flags.writeable = False
-            self._memo = (v, arrays, rate, {**held, **record})
+        held.update(record)
         return logits
 
     def _stack_slices(self, v: Volume, dtype=np.float32) -> np.ndarray:
@@ -698,7 +691,7 @@ class TinySegmenter:
                     raise PredictorError(f"checkpoint {path.name} ended inside parameter {name}")
         # the payload sets every parameter, so the model is built without drawing an initialisation
         model = cls.__new__(cls)
-        model.seed, model.params, model._memo = seed, params, None
+        model.seed, model.params = seed, params
         return model
 
 

@@ -17,6 +17,7 @@ making results independent of execution order and parallelism.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -150,22 +151,23 @@ def run_case(
 ) -> SampleStack:
     """Collect ``n_samples`` stochastic predictions for one (subject, case).
 
-    Dropout cases run the predictor on the original image at the case's
-    rate with a fresh derived seed per pass.  Augmentation cases perturb
-    the image, predict deterministically, and map affine components back
-    to the original grid.  ``binarize`` thresholds each sample at 0.5
-    before stacking (off by default; summary statistics then describe
-    hard-vote distributions instead of soft probabilities).  An exception
-    from a pass gets a note (``__notes__``, PEP 678) naming the subject,
-    case and pass.
+    Dropout cases run the predictor's dropout passes on the original image
+    at the case's rate with a fresh derived seed per pass, in one
+    ``dropout_passes`` call.  Augmentation cases perturb the image, predict
+    deterministically, and map affine components back to the original
+    grid.  ``binarize`` thresholds each sample at 0.5 before stacking (off
+    by default; summary statistics then describe hard-vote distributions
+    instead of soft probabilities).  An exception from a pass gets a note
+    (``__notes__``, PEP 678) naming the subject, case and pass.
     """
     if n_samples < 2:
         raise VolumeError(f"need at least 2 samples, got {n_samples}")
     samples = np.empty((n_samples,) + image.dims, dtype=np.float32)
     records: list[dict] = []
+    passes = _passes(pred, image, case, seed, n_samples)
     for i in range(n_samples):
         try:
-            prob, record = _one_pass(pred, image, case, seed, i)
+            prob, record = next(passes)
         except Exception as exc:
             # what add_note does; Python 3.10 has no add_note
             exc.__notes__ = [*getattr(exc, "__notes__", ()), f"subject {subject_id}, case {case.id}, pass {i}"]
@@ -176,20 +178,22 @@ def run_case(
     return SampleStack(case.id, subject_id, samples, image.spacing, tuple(records))
 
 
-def _one_pass(pred: Predictor, image: Volume, case: CaseSpec, seed: int, i: int) -> tuple[Volume, dict]:
-    """Prediction of pass ``i`` on the original grid, and its record."""
-    pass_seed = derive_seed(seed, "pass", case.id, i)
+def _passes(pred: Predictor, image: Volume, case: CaseSpec, seed: int, n: int) -> Iterator[tuple[Volume, dict]]:
+    """Each pass's prediction on the original grid, and its record, in pass order."""
+    pass_seeds = [derive_seed(seed, "pass", case.id, i) for i in range(n)]
     if case.kind == "ttd":
-        prob = pred.forward(image, dropout_rate=case.dropout_rate, seed=pass_seed)
-        return prob, {"kind": "ttd", "dropout_rate": case.dropout_rate, "seed": pass_seed}
-    if case.kind == "tta":
-        ts = augment.sample_transform(case, derive_rng(seed, "pass", case.id, i))
-        perturbed = augment.apply_transform(image, ts)
-        prob = pred.forward(perturbed, dropout_rate=0.0, seed=pass_seed)
-        if ts.affine is not None:
-            prob = augment.apply_affine_inverse(prob, ts.affine)
-        return prob, {"kind": "tta", **asdict(ts)}
-    raise CaseError(f"unknown case kind {case.kind!r}")
+        probs = pred.dropout_passes(image, case.dropout_rate, pass_seeds)
+        for pass_seed, prob in zip(pass_seeds, probs):
+            yield prob, {"kind": "ttd", "dropout_rate": case.dropout_rate, "seed": pass_seed}
+    elif case.kind == "tta":
+        for i, pass_seed in enumerate(pass_seeds):
+            ts = augment.sample_transform(case, derive_rng(seed, "pass", case.id, i))
+            prob = pred.forward(augment.apply_transform(image, ts), dropout_rate=0.0, seed=pass_seed)
+            if ts.affine is not None:
+                prob = augment.apply_affine_inverse(prob, ts.affine)
+            yield prob, {"kind": "tta", **asdict(ts)}
+    else:
+        raise CaseError(f"unknown case kind {case.kind!r}")
 
 
 def uncertainty_maps(stack: SampleStack) -> UncertaintyMaps:

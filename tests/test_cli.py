@@ -369,15 +369,22 @@ def test_pipeline_reproducible_from_manifest(tmp_path):
 
 
 def test_pipeline_skips_training_with_model(tmp_path, small_run):
-    cfg = pipeline_config()
-    del cfg["train"]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out),
-                 "--model", str(small_run / "model.uqp")]) == 0
-    assert not (out / "model.uqp").exists()
-    assert (out / "analysis" / "summary.csv").exists()
+    # --model overrides a config's train section as it does a config without one
+    maps = {}
+    for train in ("absent", "configured"):
+        cfg = pipeline_config()
+        if train == "absent":
+            del cfg["train"]
+        cfg_path = tmp_path / f"{train}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / train
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out),
+                     "--model", str(small_run / "model.uqp")]) == 0
+        assert not (out / "model.uqp").exists()
+        assert (out / "analysis" / "summary.csv").exists()
+        assert "train" not in json.loads((out / "pipeline_manifest.json").read_text())["effective_config"]
+        maps[train] = {p.name: p.read_bytes() for p in (out / "maps").iterdir()}
+    assert maps["configured"] == maps["absent"]
 
 
 def test_pipeline_requires_some_model(tmp_path):
@@ -541,11 +548,14 @@ def grid_32(tmp_path_factory):
 
 
 @forks_workers
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
-def test_killed_run_leaves_no_worker_manifest_or_traceback(grid_32, tmp_path, sig):
+@pytest.mark.parametrize("sig, code", [(signal.SIGTERM, -signal.SIGTERM), (signal.SIGKILL, -signal.SIGKILL),
+                                       (signal.SIGINT, 130)], ids=["SIGTERM", "SIGKILL", "SIGINT"])
+def test_killed_run_leaves_no_worker_manifest_or_traceback(grid_32, tmp_path, sig, code):
     out = tmp_path / "maps"
     with open(tmp_path / "stderr.txt", "w") as err:
-        proc = uqcat_subprocess("import sys; from uqcat.cli import main; sys.exit(main(sys.argv[1:]))",
+        # Ctrl-C as in a terminal, where Python raises KeyboardInterrupt: a shell starts background jobs ignoring it
+        proc = uqcat_subprocess("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                                "from uqcat.cli import main; sys.exit(main(sys.argv[1:]))",
                                 ["run", "--model", str(grid_32 / "model.uqp"), "--subjects", str(grid_32 / "ph"),
                                  "--out", str(out), "--samples", "50"], err)
         try:
@@ -555,7 +565,7 @@ def test_killed_run_leaves_no_worker_manifest_or_traceback(grid_32, tmp_path, si
                 time.sleep(0.01)
             workers = children(proc.pid)
             proc.send_signal(sig)
-            proc.wait(timeout=10)
+            assert proc.wait(timeout=10) == code
         finally:
             proc.kill()
             proc.wait()
@@ -567,7 +577,10 @@ def test_killed_run_leaves_no_worker_manifest_or_traceback(grid_32, tmp_path, si
         os.kill(pid, signal.SIGKILL)
     assert not survivors
     assert not (out / "run_manifest.json").exists()
-    assert "Traceback" not in (tmp_path / "stderr.txt").read_text()
+    stderr = (tmp_path / "stderr.txt").read_text()
+    assert "Traceback" not in stderr
+    if sig == signal.SIGINT:
+        assert stderr.endswith("error: interrupted\n")
 
 
 @forks_workers

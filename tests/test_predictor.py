@@ -60,7 +60,7 @@ def dropout_scales(model, rate, seed, dtype=np.float32):
 
 
 def forward_from_scratch(model, img, rate, seed):
-    """The dropout forward pass without the memo: fresh slice stack, first block and masks."""
+    """The dropout forward pass from scratch: fresh slice stack, first block and masks, nothing shared."""
     x = model._stack_slices(img)
     logits = model._forward_slices(x, model.params, dropout_scales(model, rate, seed))
     return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
@@ -115,10 +115,10 @@ def test_chunked_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, rate):
         logits, _ = oracles.whole_stack_forward(model, x, model.params, rate, np.random.default_rng(seed), False)
         return np.moveaxis(expit(logits[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
 
-    # float32 through the public forward; at rate > 0 the first pass misses the memo, the second hits it
-    for seed in (3, 4) if rate else (3,):
-        got = model.forward(img, dropout_rate=rate, seed=seed).data
-        assert got.tobytes() == oracle_probs(seed).tobytes(), seed
+    # float32 through the public calls; at rate > 0 one dropout_passes call, whose second pass shares the first block
+    got = model.dropout_passes(img, rate, (3, 4)) if rate else [model.forward(img)]
+    for seed, prob in zip((3, 4), got):
+        assert prob.data.tobytes() == oracle_probs(seed).tobytes(), seed
     # float64, as gradient_check runs it, with the smaller float64 chunks
     params64 = {k: v.astype(np.float64) for k, v in model.params.items()}
     x64 = model._stack_slices(img, dtype=np.float64)
@@ -143,10 +143,11 @@ def test_one_chunk_forward_reproduces_whole_stack_oracle_bit_for_bit(grid, rate)
         logits, _ = oracles.whole_stack_forward(model, x, model.params, rate, np.random.default_rng(seed), False)
         return logits
 
-    # through the public forward; at rate > 0 the first pass misses the memo, the second hits it
-    for seed in (3, 4) if rate else (3,):
+    # through the public calls; at rate > 0 one dropout_passes call, whose second pass shares the first block
+    got = model.dropout_passes(img, rate, (3, 4)) if rate else [model.forward(img)]
+    for seed, prob in zip((3, 4), got):
         want = np.moveaxis(expit(oracle_logits(seed)[:, 0].astype(np.float64)), 0, 2).astype(np.float32)
-        assert model.forward(img, dropout_rate=rate, seed=seed).data.tobytes() == want.tobytes(), seed
+        assert prob.data.tobytes() == want.tobytes(), seed
     # from the slice stack, without the shared first block
     got = model._forward_slices(x, model.params, dropout_scales(model, rate, 5))
     assert got.tobytes() == oracle_logits(5).tobytes()
@@ -161,73 +162,51 @@ def all_keep_prefix(model, rate, seed):
 
 @pytest.mark.parametrize("rate", [1e-6, 0.03, 0.4])
 @pytest.mark.parametrize("grid", CHUNKED_GRIDS, ids=grid_ids(CHUNKED_GRIDS))
-def test_dropout_prefix_memo_reproduces_scratch_forward_bit_for_bit(grid, rate):
+def test_dropout_passes_share_each_all_keep_prefix_bit_for_bit(grid, rate, monkeypatch):
     # the first block comes before every mask, so every pass reaches it; at 1e-6 every mask keeps every channel,
-    # so every level is recorded on the first pass and hit after it
+    # so the first pass computes every block and the later ones take its logits
     model, img = chunk_test_model(grid)
-    names = predictor._BLOCKS
-    expected: set = set()
-    reused = 0
-    for seed in range(8):
-        kept = all_keep_prefix(model, rate, seed)
-        reach = [names[0], *names[1:-1][:kept]] + (["head"] if kept == len(names) else [])
-        before = model._memo
-        held_before = before[3] if before else {}
-        got = model.forward(img, dropout_rate=rate, seed=seed).data
-        assert got.tobytes() == forward_from_scratch(model, img, rate, seed).tobytes(), seed
-        held = model._memo[3]
-        # the memo holds every level an all-keep prefix has reached, read-only, and never recomputes one it holds
-        expected.update(reach)
-        assert set(held) == expected, seed
-        assert all(not act.flags.writeable for act in held.values())
-        assert all(held[name] is act for name, act in held_before.items()), seed
-        if all(name in held_before for name in reach):
-            assert model._memo is before, seed
-        reused += sum(name in held_before for name in reach)
+    seeds = range(8)
+    want = [forward_from_scratch(model, img, rate, seed).tobytes() for seed in seeds]
+    blocks = {id(model.params[f"{name}.W"]): name for name in predictor._BLOCKS}
+    convs = dict.fromkeys(predictor._BLOCKS, 0)
+    real_conv3 = predictor._conv3
+
+    def counting_conv3(x, w, b):
+        convs[blocks[id(w)]] += 1
+        return real_conv3(x, w, b)
+
+    monkeypatch.setattr(predictor, "_conv3", counting_conv3)
+    got = [prob.data.tobytes() for prob in model.dropout_passes(img, rate, seeds)]
+    assert got == want
+    # a block is computed once for all the passes that share it, those whose masks keep every channel of the
+    # blocks before it (dec0's sharers take the logits), and once by each other pass
+    kept = [all_keep_prefix(model, rate, seed) for seed in seeds]
+    sharing = {"enc0": len(kept), "bot": sum(k >= 1 for k in kept), "dec0": sum(k == 3 for k in kept)}
+    computed = {name: min(n, 1) + len(kept) - n for name, n in sharing.items()}
+    chunks = -(-grid[2] // model._chunk_slices(model._stack_slices(img)))
+    assert convs == {name: chunks * n for name, n in computed.items()}
     if rate == 1e-6:
-        assert expected == {names[0], *names[1:-1], "head"} and reused == 7 * len(expected)
+        assert computed == {"enc0": 1, "bot": 1, "dec0": 1}
     elif rate == 0.03:
-        assert reused > 7  # the first block on passes 1-7, and a deeper level at least once
+        assert computed["bot"] < len(kept)  # a deeper level is shared at least once
 
 
-def test_dropout_prefix_memo_misses_after_parameter_replacement_rate_change_and_another_image():
-    model, img = chunk_test_model((32, 32, 16))
-    other = Volume(np.random.default_rng(7).normal(size=img.dims))
-    model.forward(img, dropout_rate=1e-6, seed=0)
-
-    def check_recorded(image, rate, keeps_first):
-        stale = model._memo
-        got = model.forward(image, dropout_rate=rate, seed=1).data
-        assert got.tobytes() == forward_from_scratch(model, image, rate, 1).tobytes()
-        memo = model._memo
-        assert memo is not stale and set(memo[3]) == {"enc0", "bot", "head"}
-        # the first block comes before every mask, so only a rate change keeps its activation
-        for name, act in stale[3].items():
-            assert (memo[3][name] is act) == (keeps_first and name == "enc0"), name
-
-    model.params["bot.W"] = model.params["bot.W"] * np.float32(0.5)
-    check_recorded(img, 1e-6, False)
-    model.params["enc0.W"] = model.params["enc0.W"] * np.float32(0.5)
-    check_recorded(img, 1e-6, False)
-    check_recorded(img, 1e-4, True)
-    check_recorded(other, 1e-4, False)
-
-
-def test_deterministic_forwards_leave_the_prefix_memo_alone():
-    model, img = chunk_test_model((32, 32, 16))
-    other = Volume(np.random.default_rng(7).normal(size=img.dims))
+def test_model_holds_only_seed_and_params_after_forward_dropout_passes_and_load(tmp_path):
+    model, img = chunk_test_model((16, 16, 8))
     model.forward(img)
-    assert model._memo is None
     model.forward(img, dropout_rate=1e-6, seed=0)
-    memo = model._memo
-    assert set(memo[3]) == {"enc0", "bot", "head"}
-    model.forward(img)
-    model.forward(other, dropout_rate=0.0, seed=5)
-    assert model._memo is memo
+    list(model.dropout_passes(img, 1e-6, range(3)))
+    assert vars(model).keys() == {"seed", "params"}
+    model.save(tmp_path / "m.uqp")
+    loaded = TinySegmenter.load(tmp_path / "m.uqp")
+    assert vars(loaded).keys() == {"seed", "params"}
+    list(loaded.dropout_passes(img, 1e-6, range(3)))
+    assert vars(loaded).keys() == {"seed", "params"}
 
 
 def test_dropout_prefix_memo_under_thread_contention():
-    # threads alternate two images and two rates, so the one-entry memo is replaced while others read it
+    # threads alternate two images and two rates on one model, whose forward passes hold nothing between calls
     model, img = chunk_test_model((32, 32, 16))
     images = (img, Volume(np.random.default_rng(7).normal(size=img.dims)))
     jobs = [(seed % 2, (1e-6, 0.03)[seed // 2 % 2], seed) for seed in range(24)]
@@ -274,27 +253,29 @@ def test_chunk_size_follows_the_input():
     assert model._chunk_slices(np.zeros((16, 5, 32, 32))) == 1  # float64 halves the slices per chunk
 
 
-@pytest.mark.parametrize("rate, memo", [(0.0, "none"), (0.03, "hit"), (0.03, "miss"), (0.03, "record"),
-                                        (0.03, "all-hit")])
-def test_inference_forward_memory_is_bounded(rate, memo):
-    # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB.
-    # "record" misses the memo and records enc0, bot and the logits; "all-hit" takes the logits from the memo
+@pytest.mark.parametrize("rate, shared", [(0.0, "none"), (0.03, "hit"), (0.03, "miss"), (0.03, "record"),
+                                          (0.03, "all-hit")])
+def test_inference_forward_memory_is_bounded(rate, shared):
+    # the whole-stack forward peaked at 39-43 MB here; slice chunks keep every pass near 10 MB.  One pass is measured:
+    # "none" is the dropout-free forward; "miss" and "record" are a dropout_passes call's first pass, which records
+    # enc0 (seed 0 drops one of enc0's channels) or enc0, bot and the logits (seed 2 keeps every channel); "hit" and
+    # "all-hit" are its second pass, which takes enc0 or the logits from the first
     model, img = chunk_test_model((64, 64, 32))
-    seeds = (2, 4) if memo in ("record", "all-hit") else (0, 1)  # 2 and 4 keep every channel at 0.03
-    model.forward(img, dropout_rate=rate, seed=seeds[0])
-    if memo in ("miss", "record"):
-        model._memo = None
-    held = model._memo
+    seeds = (2, 4) if shared in ("record", "all-hit") else (0, 1)
+    assert [all_keep_prefix(model, 0.03, seed) for seed in seeds] == ([3, 3] if seeds == (2, 4) else [0, 1])
+    passes = model.dropout_passes(img, rate, seeds)
+    if shared in ("hit", "all-hit"):
+        next(passes)
     tracemalloc.start()
     try:
-        model.forward(img, dropout_rate=rate, seed=seeds[1])
+        if rate:
+            next(passes)
+        else:
+            model.forward(img)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
-    if memo in ("record", "all-hit"):
-        assert set(model._memo[3]) == {"enc0", "bot", "head"}
-        assert (model._memo is held) == (memo == "all-hit")
 
 
 def test_forward_dims_validation():

@@ -95,8 +95,10 @@ def test_run_case_rate_zero_control(trained_model, small_cohort):
     img = small_cohort[6][0]
     control = CaseSpec(id=1, kind="ttd", dropout_rate=0.0)
     stack = run_case(trained_model, img, control, n_samples=5, seed=0)
-    for i in range(1, 5):
-        assert np.array_equal(stack.samples[i], stack.samples[0])
+    # at rate 0 every mask keeps every channel, so each dropout pass gives the dropout-free forward's bits
+    baseline = trained_model.forward(img).data
+    for i in range(5):
+        assert stack.samples[i].tobytes() == baseline.tobytes()
 
 
 def test_run_case_identity_augmentation_equals_deterministic(trained_model, small_cohort, monkeypatch):
@@ -138,6 +140,9 @@ def test_run_case_failure_notes_subject_case_and_pass(case_id):
             if self.calls == 3:
                 raise RuntimeError("boom")
             return Volume(np.full(v.dims, 0.5))
+
+        def dropout_passes(self, v, rate, seeds):
+            return (self.forward(v, rate, s) for s in seeds)
 
     with pytest.raises(RuntimeError, match="boom") as info:
         run_case(FailsOnThirdPass(), Volume(np.zeros((8, 8, 4))), get_case(case_id), n_samples=4, subject_id=5)
