@@ -17,7 +17,9 @@ bit-exactly from its manifest.  Manifests contain only paths relative to
 their own directory.
 
 ``uqcat run`` runs its (subject, case) jobs in worker processes forked from
-itself, as many as the usable cores, each with one BLAS thread;
+itself, as many as the usable cores, each with one BLAS thread, which it
+inherits from the forking process (that process holds one BLAS thread
+while the pool lives and restores its count after);
 ``UQCAT_THREADS`` caps the count, and with one worker, or where the platform
 cannot fork, the jobs run in the calling process.  Outputs are bit-identical
 regardless of the worker count because all randomness is derived from
@@ -246,17 +248,24 @@ def cmd_train(data: Path, out: Path, epochs: int, seed: int, holdout: int) -> in
 # run
 # --------------------------------------------------------------------------
 
-def _set_blas_threads(n: int) -> None:
-    """Set numpy's bundled OpenBLAS to ``n`` threads; does nothing where no such library or symbol is found."""
+def _blas_threads(n: int | None = None) -> int | None:
+    """numpy's bundled OpenBLAS thread count, which is then set to ``n`` when given; None where no such library
+    is found."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
     for lib in map(ctypes.CDLL, glob.glob(libs)):  # the copy numpy has loaded, so no new load
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is None or setter is None:
+                continue
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            count = getter()
+            if n is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(n)
-                break
+            return count
+    return None
 
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
@@ -264,8 +273,8 @@ _worker_job = None  # the job function of a forked run-stage worker, set by _ini
 
 
 def _init_worker(job, parent: int) -> None:
-    """Set up a forked worker: it dies with ``parent``, ignores Ctrl-C (the parent handles it and shuts the
-    pool down) and runs BLAS on one thread, since the workers already keep every core busy."""
+    """Set up a forked worker: it dies with ``parent`` and ignores Ctrl-C (the parent handles it and shuts the
+    pool down).  It leaves BLAS alone: it inherits one thread from the parent (see :func:`_job_results`)."""
     global _worker_job
     if sys.platform.startswith("linux"):
         prctl = ctypes.CDLL(None).prctl
@@ -274,7 +283,6 @@ def _init_worker(job, parent: int) -> None:
     if os.getppid() != parent:  # the parent died before prctl took effect
         os._exit(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _set_blas_threads(1)
     _worker_job = job
 
 
@@ -290,16 +298,27 @@ def _job_results(one_job, jobs: list, workers: int):
     A process pool, not ``multiprocessing.Pool``: when a worker dies (killed, out of memory) the pending jobs
     fail with ``BrokenProcessPool`` where a ``Pool`` would wait for them forever.  On leaving, jobs not yet
     started are cancelled and the running ones finished.
+
+    The workers run BLAS on one thread, since they already keep every core busy.  This process drops to one
+    BLAS thread before it forks them (at the first submit), and OpenBLAS shuts its thread pool down at a fork,
+    so each worker inherits one thread and never builds a pool, whose threads would busy-wait beside its jobs.
+    The previous count comes back only once the pool is shut down, so this process builds no pool of its own
+    while the workers run.
     """
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield map(one_job, jobs)
         return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_init_worker,
-                               initargs=(one_job, os.getpid()))
+    threads = _blas_threads(1)
     try:
-        yield pool.map(_run_worker_job, jobs)
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_worker, initargs=(one_job, os.getpid()))
+        try:
+            yield pool.map(_run_worker_job, jobs)
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        if threads is not None:
+            _blas_threads(threads)
 
 
 def cmd_run(model: Path, subjects: Path, out: Path, samples: int, seed: int, cases: list[int], binarize: bool) -> int:
@@ -488,6 +507,8 @@ def _load_config(p: Path) -> dict:
         loaded = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed config {p.name}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise UsageError(f"malformed config {p.name}: nested too deeply") from None
     if not isinstance(loaded, dict):
         raise UsageError(f"config {p.name} must be a JSON object")
     return loaded

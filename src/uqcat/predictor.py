@@ -673,7 +673,7 @@ class TinySegmenter:
                 config = header["config"]
                 seed = int(header.get("seed", 0))
                 entries = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
                 raise PredictorError(f"bad checkpoint header in {path.name}: {exc}") from exc
             # nothing is allocated until the header matches the one architecture and the file its payload size
             if config != asdict(cls.config):

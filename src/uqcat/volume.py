@@ -144,7 +144,7 @@ def _read_vvol(path: Path) -> Volume:
         if not (isinstance(spacing, list) and len(spacing) == 3
                 and all(type(s) in (int, float) and 0 < float(s) < np.inf for s in spacing)):
             raise ValueError(f"bad spacing {spacing!r}")
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"malformed header {sidecar.name}: {exc}") from exc
     dims = tuple(dims)
     payload = path.read_bytes()

@@ -610,6 +610,41 @@ sys.exit(cli.main(sys.argv[1:]))
     assert not (out / "run_manifest.json").exists()
 
 
+def thread_counts(job: str) -> tuple[int, int | None]:
+    """A job for a forked worker: the OS threads and BLAS threads of the process that runs it, after a matmul."""
+    a = np.ones((256, 256), dtype=np.float32)
+    a @ a  # a worker that builds a BLAS thread pool has built it by now
+    if job == "fail":
+        raise ValueError("job failed")
+    return len(os.listdir("/proc/self/task")), cli._blas_threads()
+
+
+@forks_workers
+def test_forked_workers_run_one_thread_and_the_parent_blas_threads_are_restored():
+    # a worker that builds an OpenBLAS thread pool keeps a spare thread busy-waiting beside its jobs
+    if cli._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    before = cli._blas_threads(2)  # more than one, so that dropping to one and restoring both show
+    try:
+        with cli._job_results(thread_counts, ["ok"] * 6, 2) as results:
+            assert list(results) == [(1, 1)] * 6
+        assert cli._blas_threads() == 2
+        with pytest.raises(ValueError, match="job failed"):
+            with cli._job_results(thread_counts, ["ok", "fail", "ok"], 2) as results:
+                list(results)
+        assert cli._blas_threads() == 2
+    finally:
+        cli._blas_threads(before)
+
+
+def test_pipeline_deeply_nested_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text("[" * 200_000)
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: malformed config deep.json: nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides, named", [
     ({"phantom": 5}, "int"),
     ({"run": {"samples": "x"}}, "'x'"),

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import oracles
@@ -718,6 +720,14 @@ def _claim_architecture(blob: bytes, payload: bool, **config) -> bytes:
     return blob[:8] + len(head).to_bytes(4, "little") + head + body
 
 
+def _with_header(blob: bytes, **fields) -> bytes:
+    """``blob`` with ``fields`` set in its header (a float infinity is written as JSON's ``Infinity``)."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = {**json.loads(blob[12 : 12 + hlen]), **fields}
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + hlen :]
+
+
 def _oversized_config(blob: bytes) -> bytes:
     """A header-only file whose config and manifest claim 256 base filters, about 3 million weights."""
     return _claim_architecture(blob, payload=False, base_filters=256)
@@ -732,6 +742,8 @@ CHECKPOINT_CORRUPTIONS = {
     "missing-parameter": _drop_last_param,
     "oversized-config": _oversized_config,
     "other-architecture": lambda blob: _claim_architecture(blob, payload=True, n_blocks=3),
+    "deeply-nested-header": lambda blob: blob[:8] + (200_000).to_bytes(4, "little") + b"[" * 200_000,
+    "infinite-seed": lambda blob: _with_header(blob, seed=float("inf")),
 }
 
 
@@ -743,6 +755,36 @@ def test_checkpoint_rejects_corruption_naming_the_file(tmp_path, corrupt):
     bad.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(PredictorError, match="corrupt.uqp"):
         TinySegmenter.load(bad)
+
+
+@st.composite
+def damaged(draw, blob: bytes, hot: int) -> bytes:
+    """``blob`` cut short, or with 1-4 bytes flipped, half of them among its first ``hot`` bytes."""
+    if draw(st.booleans()):
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.one_of(st.integers(0, hot - 1), st.integers(0, len(blob) - 1)))
+        out[at] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_reads_or_raises_predictor_error(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("fuzz")
+    TinySegmenter(seed=1).save(root / "good.uqp")
+    good = (root / "good.uqp").read_bytes()
+    bad = data.draw(damaged(good, hot=12 + int.from_bytes(good[8:12], "little")))
+    (root / "bad.uqp").write_bytes(bad)
+    try:
+        model = TinySegmenter.load(root / "bad.uqp")
+    except PredictorError as exc:
+        assert "bad.uqp" in str(exc)
+        return
+    # read: the header was accepted, and the parameters are the payload that follows it
+    payload = b"".join(model.params[name].tobytes() for name in sorted(model.params))
+    assert bad == bad[: 12 + int.from_bytes(bad[8:12], "little")] + payload
 
 
 def test_checkpoint_rejected_before_allocating_what_its_config_claims(tmp_path):

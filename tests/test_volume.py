@@ -102,9 +102,10 @@ def test_missing_sidecar(tmp_path):
     '{"dims": [2, 2, 2], "spacing": [1, true, 1]}',
     '{"dims": [2, 2, 2], "spacing": [1, 1%s, 1]}' % ("0" * 400),
     '{"dims": [2, 2, 2], "spacing": "1,1,1"}',
+    "[" * 200_000,
 ], ids=["not-json", "not-object", "no-spacing", "float-dim", "bool-dim", "string-dim", "four-dims", "zero-dim",
         "zero-spacing", "two-spacings", "nan-spacing", "bool-spacing", "huge-spacing",
-        "string-spacing"])
+        "string-spacing", "deep-nesting"])
 def test_malformed_sidecar(tmp_path, sidecar):
     # eight values fit every dims above that a lenient reader would accept
     path = tmp_path / "bad.vvol"
@@ -112,6 +113,35 @@ def test_malformed_sidecar(tmp_path, sidecar):
     (tmp_path / "bad.vvol.json").write_text(sidecar)
     with pytest.raises(VolumeFormatError, match=r"malformed header bad\.vvol\.json: "):
         read_volume(path)
+
+
+@st.composite
+def damaged(draw, blob: bytes) -> bytes:
+    """``blob`` cut short, or with 1-4 bytes flipped."""
+    if draw(st.booleans()):
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), part=st.sampled_from(["payload", "sidecar"]))
+def test_damaged_vvol_reads_or_raises_volume_error(tmp_path_factory, data, part):
+    path = tmp_path_factory.mktemp("fuzz") / "v.vvol"
+    write_volume(Volume(np.arange(24, dtype=np.float32).reshape(4, 3, 2), spacing=(1.0, 1.0, 2.5)), path)
+    target = path if part == "payload" else path.with_name("v.vvol.json")
+    target.write_bytes(data.draw(damaged(target.read_bytes())))
+    try:
+        v = read_volume(path)
+    except VolumeError as exc:
+        assert "v.vvol" in str(exc)
+        return
+    # read: the volume holds the payload's values in the dims its sidecar gives
+    header = json.loads(path.with_name("v.vvol.json").read_text())
+    assert list(v.dims) == header["dims"]
+    assert v.data.ravel(order="F").astype("<f4").tobytes() == path.read_bytes()
 
 
 def test_unsupported_extension(tmp_path):
