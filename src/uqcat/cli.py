@@ -144,6 +144,15 @@ def _parse_cases(text: str) -> list[int]:
         raise UsageError(f"bad --cases: {exc}")
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` when :func:`derive_seed` takes it as a key, checked before a command writes anything."""
+    try:
+        derive_seed(seed)
+    except ValueError as exc:
+        raise UsageError(f"bad --seed: {exc}")
+    return seed
+
+
 def _digests(directory: Path, names: list[str]) -> dict[str, str]:
     return {name: _sha256(directory / name) for name in sorted(names)}
 
@@ -504,11 +513,15 @@ def _load_config(p: Path) -> dict:
     if not p.exists():
         raise UsageError(f"no such config file: {p}")
     try:
-        loaded = json.loads(p.read_text())
+        loaded = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed config {p.name}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise UsageError(f"malformed config {p.name}: nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"malformed config {p.name}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise UsageError(f"unreadable config {p.name}: {exc.strerror}") from None
     if not isinstance(loaded, dict):
         raise UsageError(f"config {p.name} must be a JSON object")
     return loaded
@@ -656,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--satellite", action="store_true")
     p.set_defaults(func=lambda a: cmd_phantom(
-        Path(a.out), a.subjects, a.seed, _parse_dims(a.dims), a.lesions, _parse_radius(a.radius), a.noise, a.satellite))
+        Path(a.out), a.subjects, _check_seed(a.seed), _parse_dims(a.dims), a.lesions, _parse_radius(a.radius), a.noise,
+        a.satellite))
 
     p = sub.add_parser("train", help="train the built-in segmenter")
     p.add_argument("--data", required=True)
@@ -664,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--holdout", type=int, default=0, help="trailing subjects held out for validation")
-    p.set_defaults(func=lambda a: cmd_train(Path(a.data), Path(a.out), a.epochs, a.seed, a.holdout))
+    p.set_defaults(func=lambda a: cmd_train(Path(a.data), Path(a.out), a.epochs, _check_seed(a.seed), a.holdout))
 
     p = sub.add_parser("run", help="sample uncertainty cases and write voxelwise maps")
     p.add_argument("--model", required=True)
@@ -675,7 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", default="1-14")
     p.add_argument("--binarize", action="store_true")
     p.set_defaults(func=lambda a: cmd_run(
-        Path(a.model), Path(a.subjects), Path(a.out), a.samples, a.seed, _parse_cases(a.cases), a.binarize))
+        Path(a.model), Path(a.subjects), Path(a.out), a.samples, _check_seed(a.seed), _parse_cases(a.cases),
+        a.binarize))
 
     p = sub.add_parser("analyze", help="cross-case correlation and stability analytics")
     p.add_argument("--maps", required=True)

@@ -47,8 +47,8 @@ class PhantomSpec:
         # _place_center keeps a margin of ceil(radius) voxels on each side
         if not math.isfinite(hi) or any(2 * math.ceil(hi) >= d for d in self.dims):
             raise VolumeError(f"max radius {hi} does not fit inside dims {self.dims}")
-        if self.noise_std < 0:
-            raise VolumeError(f"noise std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise VolumeError(f"noise std must be finite and >= 0, got {self.noise_std}")
         if self.n_lesions < 1:
             raise VolumeError(f"need at least one lesion, got {self.n_lesions}")
 

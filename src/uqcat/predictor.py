@@ -84,13 +84,16 @@ the same unperturbed image at one rate, and enc0's conv and softplus come
 before the first mask.  A mask that drops no channel scales every channel
 by the same 1/(1-rate), so a pass whose enc0 mask is all-keep gives bot
 the same input as every other such pass; at rates of 0.03-0.15 an
-8-channel mask drops nothing in 27-78% of draws.  The call holds the
-activations these prefixes reach until it ends: enc0's, bot's, and the
-logits of a pass whose masks are all all-keep, 4 + 2 + 0.5 MB at
-64x64x32.  Each pass still draws all its masks from its own generator in
-block order, and a shared activation holds the bits the pass would
-compute, so the outputs are bit-identical to recomputing every block.
-The model itself keeps nothing between calls.
+8-channel mask drops nothing in 27-78% of draws.  The call builds the
+input once and holds it, with the activations these prefixes reach,
+until it ends: enc0's, bot's, and the logits of a pass whose masks are
+all all-keep, 0.6 + 4 + 2 + 0.5 MB at 64x64x32.  The rule for what a
+pass takes and records lives in :meth:`TinySegmenter._forward_slices`,
+which gets the call's dict of held activations.  Each pass still draws
+all its masks from its own generator in block order, and a shared
+activation holds the bits the pass would compute, so the outputs are
+bit-identical to recomputing every block.  The model itself keeps
+nothing between calls.
 
 Every pass runs the encoder-decoder in one loop over chunks of axial
 slices, so that each tap's conv product is read back from cache rather
@@ -103,10 +106,10 @@ The input is a read-only view over one copy of the volume, edge-padded
 along z, whose slice context is never copied per channel.  A pass draws
 all its dropout masks before the first chunk, in block order, which is
 the stream the per-block draws took.  Every block, the first included,
-is computed only in this loop: a recorded activation is written chunk
-by chunk into a whole-stack buffer, and a block that shares one takes
-the chunk's slice and skips building its input (bot's pooling, or enc0's
-slice context, so a pass that shares enc0 builds no input).  Each 3x3
+is computed only in this loop: an activation a pass records is written
+chunk by chunk into a whole-stack buffer among the held ones, and a
+block that takes a held one takes the chunk's slice and skips its input
+(bot's pooling; enc0 then never reads its chunk of the input).  Each 3x3
 conv is one gemm per slice and the other layers are elementwise, so
 their bits do not depend on the chunking; the 1x1 head's einsum does
 depend on the batch size in float32, so the head runs once on a
@@ -506,47 +509,22 @@ class TinySegmenter:
     def dropout_passes(self, v: Volume, rate: float, seeds: Iterable[int]) -> Iterator[Volume]:
         """``forward(v, rate, seed)`` for each seed in turn, sharing what the passes' all-keep mask prefixes share.
 
-        enc0 comes before every mask, and if enc0's mask keeps every
-        channel, bot gets the same input too, on every pass of the call.
-        The first pass that reaches enc0's activation, bot's after an
-        all-keep enc0 mask, or the logits of a pass whose masks all keep
-        every channel records it, in :meth:`_forward_slices`'s chunk loop,
-        and later passes take it from there, so a pass that shares enc0
-        builds no input.  What is held lives only as long as the call.
-        The parameters are read once, when the first pass starts.  The
-        masks are drawn from each pass's own generator in block order
-        either way, so the outputs are those of passes that share nothing.
-        At rate 0 every mask keeps every channel and each pass gives
-        ``forward(v)``'s bits.
+        The input stack is built once, when the first pass starts, and the
+        parameters are read then too.  Each pass draws its masks from its
+        own generator in block order and runs :meth:`_forward_slices` with
+        the call's ``held`` dict, which decides what the pass takes from
+        earlier passes and records for later ones.  What is held lives only
+        as long as the call, and the outputs are those of passes that share
+        nothing.  At rate 0 every mask keeps every channel and each pass
+        gives ``forward(v)``'s bits.
         """
         if not (0.0 <= rate < 1.0):
             raise PredictorError(f"dropout rate must be in [0, 1), got {rate}")
-        params = self.params
+        params, x = self.params, self._stack_slices(v)
         held: dict[str, np.ndarray] = {}
         for seed in seeds:
-            # one expression, so that between passes the generator holds only what later passes share
-            yield _probabilities(self._pass_logits(v, params, rate, seed, held), v)
-
-    def _pass_logits(self, v: Volume, params, rate: float, seed: int, held: dict[str, np.ndarray]) -> np.ndarray:
-        """Logits of the dropout pass ``seed``, taking what ``held`` has and recording in it what the pass reaches."""
-        scales = self._dropout_scales(rate, np.random.default_rng(seed), np.float32)
-        keeps = [bool(scales[name].all()) for name in _BLOCKS]
-        if all(keeps) and "head" in held:
-            return held["head"]
-        x = held["enc0"] if "enc0" in held else self._stack_slices(v)
-        n, _, hgt, wid = x.shape
-        shapes = {"enc0": (n, 8, hgt, wid), "bot": (n, 16, hgt // 2, wid // 2)}
-        shared, record = {}, {}
-        for name in ("enc0", "bot") if keeps[0] else ("enc0",):
-            if name in held:
-                shared[name] = held[name]
-            else:
-                record[name] = np.empty(shapes[name], x.dtype)
-        logits = self._forward_slices(x, params, scales, shared=shared, record=record)
-        if all(keeps):
-            record["head"] = logits
-        held.update(record)
-        return logits
+            scales = self._dropout_scales(rate, np.random.default_rng(seed), np.float32)
+            yield _probabilities(self._forward_slices(x, params, scales, held=held), v)
 
     def _stack_slices(self, v: Volume, dtype=np.float32) -> np.ndarray:
         """(nz, 5, nx, ny) input with replicate-padded slice context, as a read-only view.
@@ -560,46 +538,65 @@ class TinySegmenter:
         padded = np.pad(v.data.astype(dtype, copy=False), ((0, 0), (0, 0), (2, 2)), mode="edge")
         return np.lib.stride_tricks.sliding_window_view(padded, 5, axis=2).transpose(2, 3, 0, 1)
 
-    def _forward_slices(self, x, params, scales=None, cache=None, shared=None, record=None):
+    def _forward_slices(self, x, params, scales=None, cache=None, held=None):
         """Logits (B, 1, H, W) for a slice batch ``x``, each block's output times its multiplier in ``scales``.
 
         Without ``scales`` the pass has no dropout.  The encoder-decoder runs
         over chunks of slices into one preallocated stack of dec0's outputs
         and the head runs once over that stack (see the module docstring).
         A ``cache`` list, when given, receives the backward state, and the
-        batch is then one chunk.  ``shared`` maps a block name to its
-        whole-stack activation, which the block takes for each chunk instead
-        of computing it, and whose input is never built; ``x`` is then only
-        read by the blocks not found there.  ``record`` maps a block name to
-        a whole-stack buffer that receives its activation chunk by chunk.
+        batch is then one chunk.
+
+        ``held`` is the dict of whole-stack activations that the passes of
+        one :meth:`dropout_passes` call share, and this is where the rule
+        for what a pass shares lives.  A pass whose masks all keep every
+        channel returns the held logits if there are any.  Otherwise the
+        blocks it may share are enc0, and bot when enc0's mask keeps every
+        channel: a held one is taken for each chunk in place of computing
+        it, and its input is neither built (bot's pooling) nor read (enc0's
+        chunk of ``x``); one not yet held gets a whole-stack buffer in
+        ``held`` that its softplus writes chunk by chunk.  An all-keep pass
+        then records its logits.
         """
-        scales, shared, record = scales or {}, shared or {}, record or {}
+        scales, taken, filled = scales or {}, {}, {}
+        n, _, hgt, wid = x.shape
+        if held is not None:
+            keeps = [bool(scales[name].all()) for name in _BLOCKS]
+            if all(keeps) and "head" in held:
+                return held["head"]
+            shapes = {"enc0": (n, 8, hgt, wid), "bot": (n, 16, hgt // 2, wid // 2)}
+            for name in ("enc0", "bot") if keeps[0] else ("enc0",):
+                if name in held:
+                    taken[name] = held[name]
+                else:
+                    filled[name] = held[name] = np.empty(shapes[name], x.dtype)
 
         def block(name: str, chunk: slice, inp: np.ndarray | None, dst: np.ndarray | None = None) -> np.ndarray:
             pre = None
-            if name in shared:
-                act = shared[name][chunk]
+            if name in taken:
+                act = taken[name][chunk]
             else:
                 pre = _conv3(inp, params[f"{name}.W"], params[f"{name}.b"])
-                act = _softplus(pre, record[name][chunk] if name in record else None if scales else dst)
+                act = _softplus(pre, filled[name][chunk] if name in filled else None if scales else dst)
             if cache is not None:
                 cache.append({"name": name, "x": inp, "pre": pre})
             if scales:
-                # a new array or ``dst``: ``act`` may be a shared one
+                # a new array or ``dst``: ``act`` may be a held one
                 return np.multiply(act, scales[name], out=dst)
             return act
 
-        n, _, hgt, wid = x.shape
         step = n if cache is not None else self._chunk_slices(x)
         top = np.empty((n, 8, hgt, wid), dtype=x.dtype)
         for s in range(0, n, step):
             chunk = slice(s, s + step)
             enc0 = block("enc0", chunk, x[chunk])
-            bot = block("bot", chunk, None if "bot" in shared else _avgpool2(enc0))
+            bot = block("bot", chunk, None if "bot" in taken else _avgpool2(enc0))
             block("dec0", chunk, _concat(bot, enc0), top[chunk])
         logits = _conv1(top, params["head.W"], params["head.b"])
         if cache is not None:
             cache.append({"name": "head", "x": top})
+        if held is not None and all(keeps):
+            held["head"] = logits
         return logits
 
     @staticmethod

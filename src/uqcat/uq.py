@@ -180,15 +180,15 @@ def run_case(
 
 def _passes(pred: Predictor, image: Volume, case: CaseSpec, seed: int, n: int) -> Iterator[tuple[Volume, dict]]:
     """Each pass's prediction on the original grid, and its record, in pass order."""
-    pass_seeds = [derive_seed(seed, "pass", case.id, i) for i in range(n)]
     if case.kind == "ttd":
+        pass_seeds = [derive_seed(seed, "pass", case.id, i) for i in range(n)]
         probs = pred.dropout_passes(image, case.dropout_rate, pass_seeds)
         for pass_seed, prob in zip(pass_seeds, probs):
             yield prob, {"kind": "ttd", "dropout_rate": case.dropout_rate, "seed": pass_seed}
     elif case.kind == "tta":
-        for i, pass_seed in enumerate(pass_seeds):
+        for i in range(n):
             ts = augment.sample_transform(case, derive_rng(seed, "pass", case.id, i))
-            prob = pred.forward(augment.apply_transform(image, ts), dropout_rate=0.0, seed=pass_seed)
+            prob = pred.forward(augment.apply_transform(image, ts))
             if ts.affine is not None:
                 prob = augment.apply_affine_inverse(prob, ts.affine)
             yield prob, {"kind": "tta", **asdict(ts)}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -7,11 +8,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uqcat
+from fuzzing import damaged
 from uqcat import Volume, cli, read_volume, write_volume
 from uqcat.cli import main
 
@@ -177,11 +182,29 @@ def test_run_missing_subjects_creates_no_output(small_run, tmp_path):
 def test_phantom_failure_creates_no_output(tmp_path, capsys):
     out = tmp_path / "ph"
     for flags, named in ((["--dims", "6,6,6"], "does not fit"), (["--noise", "-0.1"], "noise std"),
+                         (["--noise", "nan"], "noise std"), (["--noise", "inf"], "noise std"),
                          (["--radius", "5,3"], "radius range"), (["--lesions", "0"], "at least one lesion"),
                          (["--subjects", "0"], "--subjects")):
         assert main(["phantom", "--out", str(out), "--subjects", "1", *flags]) == 2, flags  # bad flags
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+@pytest.mark.parametrize("command", ["phantom", "train", "run", "pipeline"])
+def test_seed_out_of_range_exits_2_before_any_output(small_run, tmp_path, capsys, command, seed):
+    # derive_seed packs an integer key into 16 signed bytes
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(pipeline_config()))
+    argv = {"phantom": ["phantom", "--out", str(out), "--subjects", "1", "--dims", "16,16,8", "--radius", "1.5,2.5"],
+            "train": ["train", "--data", str(small_run / "ph"), "--out", str(out / "model.uqp"), "--epochs", "1"],
+            "run": ["run", "--model", str(small_run / "model.uqp"), "--subjects", str(small_run / "ph"),
+                    "--out", str(out), "--samples", "2", "--cases", "1,7"],
+            "pipeline": ["pipeline", "--config", str(cfg_path), "--out", str(out)]}[command]
+    assert main([*argv, "--seed", str(seed)]) == 2
+    assert f"seed keys must lie in [-2**127, 2**127), got {seed}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_mismatched_cases_exit_2_before_output(small_run, tmp_path, capsys):
@@ -404,6 +427,22 @@ def test_pipeline_malformed_json(tmp_path, capsys):
 
 def test_pipeline_missing_config_file(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_pipeline_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.json"
+    cfg_path.write_bytes(json.dumps(pipeline_config()).replace("{}", '{"x": "\u00e9"}').encode("latin-1"))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed config latin1.json: not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_directory_config_exits_2(tmp_path, capsys):
+    cfg_dir = tmp_path / "cfg.json"
+    cfg_dir.mkdir()
+    assert main(["pipeline", "--config", str(cfg_dir), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable config cfg.json: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
@@ -637,6 +676,27 @@ def test_forked_workers_run_one_thread_and_the_parent_blas_threads_are_restored(
         cli._blas_threads(before)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_config_is_accepted_or_exits_2_before_any_stage(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "cfg.json").write_bytes(data.draw(damaged(json.dumps(pipeline_config()).encode())))
+    started = []
+
+    def stage(*args, **kwargs):  # stands in for every stage and stops the pipeline at the first
+        started.append(kwargs)
+        raise RuntimeError("stage stub")
+
+    with mock.patch.multiple(cli, cmd_phantom=stage, cmd_train=stage, cmd_run=stage, cmd_analyze=stage):
+        try:
+            code = cli.cmd_pipeline(root / "out", root / "cfg.json")
+        except cli.UsageError:
+            assert not started
+            return
+    # accepted: the config phase gave the first stage its arguments, and the stub stopped the pipeline there
+    assert code == 1 and len(started) == 1
+
+
 def test_pipeline_deeply_nested_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "deep.json"
     cfg_path.write_text("[" * 200_000)
@@ -682,13 +742,16 @@ def test_pipeline_deeply_nested_config_exits_2(tmp_path, capsys):
     ({"phantom": {"subjects": 2, "dims": [6, 6, 6], "radius": [2.2, 2.2]}}, "does not fit inside dims"),
     ({"phantom": {"subjects": 0, "dims": [16, 16, 8], "radius": [1.5, 2.5]}}, "phantom.subjects must be >= 1"),
     ({"phantom": {"subjects": 2, "dims": [33, 33, 12], "radius": [1.5, 2.5]}}, "phantom.dims in-plane size (33, 33)"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": math.nan}}, "noise std"),
+    ({"phantom": {"subjects": 2, "dims": [16, 16, 8], "radius": [1.5, 2.5], "noise": math.inf}}, "noise std"),
+    ({"seed": 2**127}, "seed keys must lie in [-2**127, 2**127)"),
 ], ids=["phantom-not-object", "samples-not-int", "case-out-of-range", "holdout-covers-cohort",
         "unknown-section", "unknown-phantom-key", "unknown-train-key", "unknown-run-key", "unknown-analyze-key",
         "one-case", "one-distinct-case", "repeated-case", "seed-bool", "seed-float", "subjects-bool", "dims-float",
         "lesions-float", "satellite-string", "satellite-int", "epochs-float", "holdout-bool", "samples-float",
         "binarize-string", "binarize-int", "noise-string", "noise-bool", "radius-bool-and-string", "holdout-negative",
         "noise-negative", "radius-unordered", "lesions-zero", "radius-does-not-fit", "radius-ceil-does-not-fit",
-        "subjects-zero", "dims-odd"])
+        "subjects-zero", "dims-odd", "noise-nan", "noise-infinity", "seed-out-of-range"])
 def test_pipeline_config_errors_exit_2_before_any_stage(tmp_path, capsys, overrides, named):
     cfg_path = tmp_path / "bad_cfg.json"
     cfg_path.write_text(json.dumps(pipeline_config(**overrides)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import oracles
+from fuzzing import damaged
 from uqcat import (
     PhantomSpec,
     PredictorError,
@@ -207,7 +208,7 @@ def test_model_holds_only_seed_and_params_after_forward_dropout_passes_and_load(
     assert vars(loaded).keys() == {"seed", "params"}
 
 
-def test_dropout_prefix_memo_under_thread_contention():
+def test_dropout_passes_under_thread_contention():
     # threads alternate two images and two rates on one model, whose forward passes hold nothing between calls
     model, img = chunk_test_model((32, 32, 16))
     images = (img, Volume(np.random.default_rng(7).normal(size=img.dims)))
@@ -755,18 +756,6 @@ def test_checkpoint_rejects_corruption_naming_the_file(tmp_path, corrupt):
     bad.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(PredictorError, match="corrupt.uqp"):
         TinySegmenter.load(bad)
-
-
-@st.composite
-def damaged(draw, blob: bytes, hot: int) -> bytes:
-    """``blob`` cut short, or with 1-4 bytes flipped, half of them among its first ``hot`` bytes."""
-    if draw(st.booleans()):
-        return blob[: draw(st.integers(0, len(blob) - 1))]
-    out = bytearray(blob)
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.one_of(st.integers(0, hot - 1), st.integers(0, len(blob) - 1)))
-        out[at] ^= draw(st.integers(1, 255))
-    return bytes(out)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fuzzing import damaged
 from uqcat import Mask, Volume, VolumeError, VolumeFormatError, read_volume, threshold_mask, write_volume
 
 
@@ -113,17 +114,6 @@ def test_malformed_sidecar(tmp_path, sidecar):
     (tmp_path / "bad.vvol.json").write_text(sidecar)
     with pytest.raises(VolumeFormatError, match=r"malformed header bad\.vvol\.json: "):
         read_volume(path)
-
-
-@st.composite
-def damaged(draw, blob: bytes) -> bytes:
-    """``blob`` cut short, or with 1-4 bytes flipped."""
-    if draw(st.booleans()):
-        return blob[: draw(st.integers(0, len(blob) - 1))]
-    out = bytearray(blob)
-    for _ in range(draw(st.integers(1, 4))):
-        out[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
-    return bytes(out)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,6 +257,27 @@ def test_nifti_nonfinite_intercept_rejected(tmp_path, inter):
     path.write_bytes(blob)
     with pytest.raises(VolumeFormatError, match="non-finite"):
         read_volume(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), datatype=st.sampled_from([16, 4]))
+def test_damaged_nifti_reads_or_raises_volume_error(tmp_path_factory, data, datatype):
+    # half the flips land in the 352-byte header; the int16 file is scaled, so they reach scl_slope and scl_inter
+    arr = np.arange(-12, 12).reshape(4, 3, 2)
+    blob = bytearray(_nifti_bytes(arr, spacing=(0.9, 1.1, 2.0), datatype=datatype))
+    if datatype == 4:
+        struct.pack_into("<2f", blob, 112, 2.0, -1.0)
+    bad = data.draw(damaged(bytes(blob), hot=352))
+    path = tmp_path_factory.mktemp("fuzz") / "v.nii"
+    path.write_bytes(bad)
+    try:
+        v = read_volume(path)
+    except VolumeError as exc:
+        assert "v.nii" in str(exc)
+        return
+    # read: the volume has the dims its header gives
+    endian = "<" if struct.unpack_from("<i", bad, 0)[0] == 348 else ">"
+    assert v.dims == struct.unpack_from(endian + "8h", bad, 40)[1:4]
 
 
 # --------------------------------------------------------------------------
